@@ -12,6 +12,13 @@ JSON header, then one contiguous (num_examples x k) float32 block per
 checkpoint, then two float32 aux blocks of length num_examples (loss under
 the final model, pseudolabel; -1 where no label applies). chunk_rows is a
 streaming hint only and never affects row values.
+
+The JSON header is padded with trailing spaces so that the data starts at a
+multiple of 64 bytes. The memory map itself starts on a page, so every
+float32 block is then 64-byte aligned and a matrix-vector product runs on
+the mapped rows directly; numpy copies a misaligned block into an aligned
+buffer first. JSON ignores the padding, so stores written without it still
+open.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ DEFAULT_PROJECTION_DIM = 4096
 # are bit-identical no matter how the store is chunked on disk.
 _COMPUTE_BATCH = 256
 _PROJECT_BLOCK_ROWS = 1024
+# Byte alignment of the data section (the header is space-padded up to it).
+_DATA_ALIGN = 64
 
 
 @dataclass
@@ -207,8 +216,11 @@ class GradientStore:
         self.fingerprints = list(self.header["checkpoint_fingerprints"])
         total = self.num_checkpoints * self.num_examples * self.k + 2 * self.num_examples
         expected_bytes = self._data_offset + 4 * total
-        if self.path.stat().st_size < expected_bytes:
-            raise ValueError("unexpected end of store")
+        size = self.path.stat().st_size
+        if size != expected_bytes:
+            raise ValueError(
+                f"unexpected end of store: {size} bytes, expected {expected_bytes}"
+            )
         self._flat = np.memmap(
             self.path, dtype="<f4", mode="r", offset=self._data_offset, shape=(total,)
         )
@@ -271,6 +283,7 @@ def _write_header(
         "dtype": "float32",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes += b" " * (-(12 + len(header_bytes)) % _DATA_ALIGN)
     fh.write(STORE_MAGIC)
     fh.write(struct.pack("<II", STORE_VERSION, len(header_bytes)))
     fh.write(header_bytes)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .corpus import DocumentSet, Vocab, encode_documents, split_tokens
 from .model import EvalMetrics, ModelParams, OptimizerConfig, evaluate, train

@@ -514,8 +514,9 @@ def train(
             loss_val, grads = batch_loss_and_grads(
                 params, batch.ids[take], batch.valid_len[take], batch_labels
             )
-            if np.isnan(loss_val):
-                raise RuntimeError(f"NaN loss in epoch {epoch} batch {b}")
+            if not np.isfinite(loss_val):
+                kind = "NaN" if np.isnan(loss_val) else "inf"
+                raise RuntimeError(f"{kind} loss in epoch {epoch} batch {b}")
             params, state = optimizer_step(params, grads, state, opt)
             epoch_losses.append(loss_val)
         trace.append(float(np.mean(epoch_losses)))

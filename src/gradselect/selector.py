@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TokenBatch
-from .gradstore import GradientStore
+from .gradstore import GradientStore, scan_scores
 from .model import TASK_CLASSIFICATION, ModelParams, _class_activations
 
 logger = logging.getLogger(__name__)
@@ -34,7 +34,9 @@ ALL_METHODS = ("select", "select_batch") + BASELINE_METHODS
 
 # Squared norms this far below the operand magnitudes are cancellation
 # residue: the summed vector is treated as zero (cosine undefined -> -inf).
-_ZERO_SUM_REL = 1e-9
+# The float32 cross term leaves up to about 1.2e-7 of the operand magnitudes
+# after an exact cancellation, at any k up to 4096.
+_ZERO_SUM_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,14 @@ def autolabel(batch: TokenBatch, theta_f: ModelParams) -> np.ndarray | None:
 
 
 class _GreedyEngine:
-    """Stateful scorer for the greedy loop; streams the store per step."""
+    """Stateful scorer for the greedy loop.
+
+    The static pass (<g_i, d_j> and |g_i|^2) and the running-sum algebra are
+    float64. Each step scores the rows [lo, hi) it is asked for: the cross
+    term <running sum, g_i> is one float32 matrix-vector product per
+    checkpoint over the mapped store rows of that range. The store's data is
+    64-byte aligned (see gradstore), so the product reads them in place.
+    """
 
     def __init__(self, store: GradientStore, dirs: Sequence[np.ndarray], rule: str):
         if rule not in SCORING_RULES:
@@ -141,28 +150,27 @@ class _GreedyEngine:
         self.indices: list[int] = []
         self.step_scores: list[float] = []
 
-    def _cross(self, j: int) -> np.ndarray:
-        """<running sum, g_i> for every example, streamed over chunks."""
-        out = np.empty(self.store.num_examples)
-        s = self.sums[j]
-        for start, stop, block in self.store.iter_blocks(j):
-            out[start:stop] = block @ s
-        return out
+    def _cross(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """<running sum, g_i> for rows [lo, hi), in float32."""
+        return self.store.block(j)[lo:hi] @ self.sums[j].astype(np.float32)
 
-    def scores(self) -> np.ndarray:
+    def scores(self, lo: int, hi: int) -> np.ndarray:
+        """Scores of rows [lo, hi) against the current running sums."""
         if self.rule == "dot":
-            return self.static.sum(axis=0)
-        total = np.zeros(self.store.num_examples)
+            return self.static[:, lo:hi].sum(axis=0)
+        total = np.zeros(hi - lo)
         for j in range(self.store.num_checkpoints):
+            static = self.static[j, lo:hi]
             if self.rule == "residual":
-                total += self.static[j] - self._cross(j)
+                total += static - self._cross(j, lo, hi)
                 continue
             if self.d_norm[j] == 0.0:
                 continue  # degenerate checkpoint: no signal either way
-            cross = self._cross(j)
-            num = self.static[j] + self.sum_dot_d[j]
-            sq = self.sum_sq[j] + 2.0 * cross + self.sqnorm[j]
-            scale = self.sum_sq[j] + self.sqnorm[j]
+            cross = self._cross(j, lo, hi)
+            sqnorm = self.sqnorm[j, lo:hi]
+            num = static + self.sum_dot_d[j]
+            sq = self.sum_sq[j] + 2.0 * cross + sqnorm
+            scale = self.sum_sq[j] + sqnorm
             zero = sq <= _ZERO_SUM_REL * (scale + 1e-300)
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = num / (np.sqrt(np.maximum(sq, 0.0)) * self.d_norm[j])
@@ -170,14 +178,14 @@ class _GreedyEngine:
             total += term
         return total
 
-    def pick(self, allowed: np.ndarray | None = None) -> tuple[int, float]:
-        candidates = ~self.selected if allowed is None else (allowed & ~self.selected)
-        idx = np.flatnonzero(candidates)
+    def pick(self, lo: int, hi: int) -> tuple[int, float]:
+        """Best unselected row in [lo, hi); ties go to the lowest index."""
+        idx = np.flatnonzero(~self.selected[lo:hi])
         if idx.size == 0:
             raise ValueError("no remaining candidates")
-        scores = self.scores()[idx]
+        scores = self.scores(lo, hi)[idx]
         pos = int(np.argmax(scores))
-        return int(idx[pos]), float(scores[pos])
+        return lo + int(idx[pos]), float(scores[pos])
 
     def add(self, i: int, score: float) -> None:
         self.selected[i] = True
@@ -203,12 +211,14 @@ def select_greedy(
     num_select: int,
     rule: str = "cosine_sum",
 ) -> SelectionResult:
-    """Greedy selection maximizing the rule's alignment at every step."""
+    """Greedy selection maximizing the rule's alignment at every step.
+
+    Every step scores all n rows.
+    """
     _check_budget(store, num_select)
     engine = _GreedyEngine(store, dirs, rule)
     for _ in range(num_select):
-        i, score = engine.pick()
-        engine.add(i, score)
+        engine.add(*engine.pick(0, store.num_examples))
     return engine.result("select")
 
 
@@ -220,7 +230,11 @@ def select_batch(
 ) -> SelectionResult:
     """Windowed greedy: scan candidates in index-order windows of batch_size,
     greedily taking ceil(M * batch_size / n) per window while the running sums
-    carry across windows. A trailing global pass covers any rounding shortfall.
+    carry across windows. Each step scores only the rows of its window.
+
+    The windows alone select exactly M: until M is reached, a full window
+    takes at least M * batch_size / n rows, and the last, shorter window takes
+    all of its rows or at least its share M * rows / n.
     """
     _check_budget(store, num_select)
     if batch_size < 1:
@@ -228,25 +242,11 @@ def select_batch(
     n = store.num_examples
     per_window = math.ceil(num_select * batch_size / n)
     engine = _GreedyEngine(store, dirs, "cosine_sum")
-    allowed = np.zeros(n, dtype=bool)
-    for w0 in range(0, n, batch_size):
-        if len(engine.indices) >= num_select:
-            break
-        allowed[:] = False
-        allowed[w0 : w0 + batch_size] = True
-        window_budget = min(
-            per_window,
-            num_select - len(engine.indices),
-            int(allowed.sum()),
-        )
-        for _ in range(window_budget):
-            i, score = engine.pick(allowed)
-            engine.add(i, score)
-    while len(engine.indices) < num_select:
-        i, score = engine.pick()
-        engine.add(i, score)
-    result = engine.result("select_batch")
-    return result
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        for _ in range(min(per_window, num_select - len(engine.indices), hi - lo)):
+            engine.add(*engine.pick(lo, hi))
+    return engine.result("select_batch")
 
 
 def select_baseline(
@@ -261,11 +261,7 @@ def select_baseline(
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline {method!r}")
     n = store.num_examples
-    static = np.zeros(n)
-    for j, d in enumerate(dirs):
-        d = np.asarray(d, dtype=np.float64)
-        for start, stop, block in store.iter_blocks(j):
-            static[start:stop] += block @ d
+    static = scan_scores(store, dirs)
 
     if method == "random":
         rng = np.random.default_rng(seed)

@@ -1,5 +1,11 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import pearsonr
 
 from gradselect.corpus import TokenBatch, TokenSeq
@@ -21,6 +27,20 @@ def rand_batch(rng, n, vocab_size, seq_len=8, min_len=2):
     ids = rng.integers(0, vocab_size, (n, seq_len)).astype(np.int32)
     lens = rng.integers(min_len, seq_len + 1, n).astype(np.int32)
     return TokenBatch(ids, lens)
+
+
+def data_offset(path) -> int:
+    (header_len,) = struct.unpack("<I", Path(path).read_bytes()[8:12])
+    return 12 + header_len
+
+
+def strip_header_padding(src, dst) -> None:
+    """Rewrite a store without the header's trailing spaces (the layout
+    written before the data was 64-byte aligned)."""
+    raw = Path(src).read_bytes()
+    end = data_offset(src)
+    header = raw[12:end].rstrip(b" ")
+    Path(dst).write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[end:])
 
 
 class TestLastLayerGrad:
@@ -243,12 +263,30 @@ class TestBuildStore:
         r, _ = pearsonr(approx, exact)
         assert r > 0.95
 
+    @pytest.mark.parametrize("num_checkpoints,n", [(1, 3), (2, 17), (3, 40)])
+    def test_data_is_64_byte_aligned(self, tmp_path, num_checkpoints, n):
+        schedule, batch, labels, theta_f, proj = self._setup(num_checkpoints, n)
+        path = tmp_path / "s.selg"
+        store = build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
+        assert data_offset(path) % 64 == 0
+        for j in range(num_checkpoints):
+            assert store.block(j).flags.aligned
+
     def test_truncated_store(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()
         path = tmp_path / "s.selg"
         build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match="unexpected end of store"):
+            GradientStore(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        schedule, batch, labels, theta_f, proj = self._setup()
+        path = tmp_path / "s.selg"
+        build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
+        GradientStore(path)  # the exact size opens
+        path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="unexpected end of store"):
             GradientStore(path)
 
@@ -316,3 +354,37 @@ class TestScanScores:
             store, [np.array([1.0, 0.0])], combiner=lambda j, start, block: block[:, 1]
         )
         assert np.allclose(scores, [0.0, 2.0])
+
+
+class TestStoreLayout:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 300),
+        k=st.integers(1, 40),
+        p=st.integers(1, 3),
+        fingerprint=st.text(alphabet="0123456789abcdef", max_size=70),
+        labelled=st.booleans(),
+    )
+    def test_write_store_aligned_and_unpadded_store_still_opens(
+        self, n, k, p, fingerprint, labelled
+    ):
+        rng = np.random.default_rng(n * 1000 + k)
+        blocks = [rng.standard_normal((n, k)).astype(np.float32) for _ in range(p)]
+        losses = rng.random(n)
+        labels = rng.integers(0, 4, n) if labelled else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path, old = Path(tmp) / "s.selg", Path(tmp) / "old.selg"
+            store = write_store(
+                path, blocks, losses, labels, Projection(8, k), fingerprints=[fingerprint] * p
+            )
+            assert data_offset(path) % 64 == 0
+            strip_header_padding(path, old)
+            legacy = GradientStore(old)
+            for j in range(p):
+                assert store.block(j).flags.aligned
+                assert np.array_equal(store.block(j), blocks[j])
+                assert np.array_equal(legacy.block(j), store.block(j))
+            assert legacy.header == store.header
+            assert np.array_equal(legacy.final_losses, store.final_losses)
+            assert np.array_equal(legacy.pseudolabels, store.pseudolabels)
+            assert legacy.has_labels == store.has_labels == labelled

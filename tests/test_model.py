@@ -267,6 +267,19 @@ class TestTrain:
         with pytest.raises(RuntimeError, match=r"NaN loss in epoch 0 batch \d+"):
             train(theta0, docs, opt, vocab, 8)
 
+    def test_inf_loss_aborts_with_batch_index(self):
+        # a -inf bias gives class 1 log-probability -inf, so any batch
+        # holding a class-1 document has an infinite (not NaN) mean loss
+        docs = _toy_two_class(40)
+        vocab = build_vocab(docs, 32, 0)
+        cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
+        theta0 = init_params(cfg, 0)
+        theta0.head_w[:] = 0.0
+        theta0.head_b[:] = np.array([0.0, -np.inf], dtype=np.float32)
+        opt = OptimizerConfig(kind="sgd", learning_rate=0.1, epochs=1, batch_size=8, seed=0)
+        with pytest.raises(RuntimeError, match=r"^inf loss in epoch 0 batch \d+$"):
+            train(theta0, docs, opt, vocab, 8)
+
     def test_empty_data_rejected(self):
         vocab = build_vocab(_toy_two_class(4), 32, 0)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)

@@ -1,11 +1,18 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradselect.corpus import encode_documents
 from gradselect.gradstore import Projection, write_store
 from gradselect.model import ModelConfig, init_params
 from gradselect.selector import (
     SelectionResult,
+    _GreedyEngine,
     autolabel,
     load_selection,
     select_baseline,
@@ -283,3 +290,112 @@ class TestSelectionIO:
     def test_distinct_indices_enforced(self):
         with pytest.raises(ValueError, match="distinct"):
             SelectionResult([1, 1], [0.0, 0.0], "dot", "select")
+
+
+# The engine computes the cross term <running sum, g_i> in float32; these
+# tests gate it against a float64 recomputation from the selected set. Step
+# scores must agree within STEP_SCORE_RTOL of the score's scale: P for
+# cosine_sum (each checkpoint adds a cosine), sum_j |g_i| (|d_j| + |s_j|) for
+# residual (s_j the running sum), as both score near 0 when terms cancel.
+STEP_SCORE_RTOL = 1e-5
+
+
+def brute_force_scores(blocks, dirs, running, rule):
+    """float64 scores of every row, and their scales, given the running sums."""
+    n = blocks[0].shape[0]
+    total, scale = np.zeros(n), np.zeros(n)
+    for g, d, s in zip(blocks, dirs, running):
+        if rule == "residual":
+            total += g @ (d - s)
+            scale += np.linalg.norm(g, axis=1) * (np.linalg.norm(d) + np.linalg.norm(s))
+        else:
+            cand = g + s
+            total += (cand @ d) / (np.linalg.norm(cand, axis=1) * np.linalg.norm(d))
+            scale += 1.0
+    return total, scale
+
+
+def random_store(tmp_dir, seed, n, k, p, scale_exp):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exp
+    blocks = [(rng.standard_normal((n, k)) * scale).astype(np.float32) for _ in range(p)]
+    dirs = [rng.standard_normal(k) for _ in range(p)]
+    return make_store(Path(tmp_dir), blocks), blocks, dirs
+
+
+# k >= 2: at k = 1 every cosine is exactly +-1, so ties are exact and either
+# engine breaks them by rounding.
+store_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    k=st.integers(2, 24),
+    p=st.integers(1, 3),
+    scale_exp=st.integers(-3, 3),
+    m_frac=st.floats(0.0, 1.0),
+)
+
+
+class TestFloat32CrossTerm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rule=st.sampled_from(["cosine_sum", "residual"]), **store_shapes)
+    def test_every_step_matches_float64_brute_force(
+        self, rule, seed, n, k, p, scale_exp, m_frac
+    ):
+        m = max(1, round(m_frac * n))
+        with tempfile.TemporaryDirectory() as tmp:
+            store, blocks, dirs = random_store(tmp, seed, n, k, p, scale_exp)
+            result = select_greedy(store, dirs, m, rule=rule)
+        blocks = [b.astype(np.float64) for b in blocks]
+        running = [np.zeros(k) for _ in range(p)]
+        picked = np.zeros(n, dtype=bool)
+        for step, (i, score) in enumerate(zip(result.indices, result.step_scores)):
+            want, scale = brute_force_scores(blocks, dirs, running, rule)
+            cand = np.flatnonzero(~picked)
+            best = int(cand[np.argmax(want[cand])])
+            assert i == best, f"step {step}: picked {i}, float64 reference picks {best}"
+            assert abs(score - want[best]) <= STEP_SCORE_RTOL * scale[best]
+            picked[i] = True
+            for s, g in zip(running, blocks):
+                s += g[i]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([2, 3, 16, 100, 512]),
+        picks=st.integers(1, 4),
+        scale_exp=st.integers(-3, 3),
+    )
+    def test_row_cancelling_the_running_sum_scores_minus_inf(
+        self, seed, k, picks, scale_exp
+    ):
+        # the float32 cross term must not turn an exact cancellation into a
+        # tiny nonzero sum with a finite cosine
+        rng = np.random.default_rng(seed)
+        rows = (rng.standard_normal((picks + 1, k)) * 10.0**scale_exp).astype(np.float32)
+        cancel = -rows[:picks].astype(np.float64).sum(axis=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = make_store(Path(tmp), [np.vstack([rows, cancel])])
+            engine = _GreedyEngine(store, [rng.standard_normal(k)], "cosine_sum")
+            for i in range(picks):
+                engine.add(i, 0.0)
+            scores = engine.scores(0, picks + 2)
+        assert scores[picks + 1] == -np.inf
+        assert np.isfinite(scores[picks])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batch_size=st.integers(1, 45), **store_shapes)
+    def test_select_batch_window_budget(self, batch_size, seed, n, k, p, scale_exp, m_frac):
+        m = max(1, round(m_frac * n))
+        with tempfile.TemporaryDirectory() as tmp:
+            store, _, dirs = random_store(tmp, seed, n, k, p, scale_exp)
+            result = select_batch(store, dirs, m, batch_size)
+        per_window = math.ceil(m * batch_size / n)
+        taken = 0
+        for lo in range(0, n, batch_size):
+            hi = min(lo + batch_size, n)
+            budget = min(per_window, m - taken, hi - lo)
+            window = result.indices[taken : taken + budget]
+            assert all(lo <= i < hi for i in window)
+            assert sum(lo <= i < hi for i in result.indices) <= per_window
+            taken += budget
+        assert taken == len(result.indices) == len(set(result.indices)) == m
