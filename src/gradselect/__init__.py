@@ -58,7 +58,6 @@ from .model import (  # noqa: F401
     train,
 )
 from .selector import (  # noqa: F401
-    CheckpointSchedule,
     SelectionResult,
     autolabel,
     select_baseline,

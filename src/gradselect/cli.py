@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="override config out_dir")
         p.add_argument("--seed", type=int, default=None, help="override first seed")
-        p.add_argument("--parallel", type=int, default=1)
         if with_method:
             p.add_argument("--method", default="all")
 
@@ -262,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a full experiment grid")
     exp.add_argument("kind", nargs="?", default=None, choices=(None, *harness.EXPERIMENT_KINDS))
     add_common(exp)
+    exp.add_argument("--parallel", type=int, default=1, help="seed jobs run at once")
     exp.set_defaults(fn=cmd_experiment)
     return parser
 

@@ -27,7 +27,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -390,17 +390,8 @@ def build_store(
     return GradientStore(path)
 
 
-def scan_scores(
-    store: GradientStore,
-    dirs: Sequence[np.ndarray],
-    combiner: Callable[[int, int, np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Per-example scores, streamed chunk by chunk.
-
-    Default combiner sums <row(j, i), dirs[j]> over checkpoints; a custom
-    combiner receives (checkpoint index, row offset, block) and returns the
-    block's score contribution.
-    """
+def scan_scores(store: GradientStore, dirs: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-example sums of <row(j, i), dirs[j]> over checkpoints, streamed chunk by chunk."""
     if len(dirs) != store.num_checkpoints:
         raise ValueError(
             f"got {len(dirs)} directions for {store.num_checkpoints} checkpoints"
@@ -412,8 +403,5 @@ def scan_scores(
     for j in range(store.num_checkpoints):
         d = np.asarray(dirs[j], dtype=np.float64)
         for start, stop, block in store.iter_blocks(j):
-            if combiner is None:
-                scores[start:stop] += block @ d
-            else:
-                scores[start:stop] += combiner(j, start, block)
+            scores[start:stop] += block @ d
     return scores

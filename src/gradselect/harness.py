@@ -1,11 +1,20 @@
 """End-to-end pipeline and experiment orchestration.
 
-Every run flows from a single JSON config: split the task corpus, train the
-victim, autolabel the candidate pool with the final model, build the
-projected gradient store, select with every configured method, retrain each
-selection from the base checkpoint, and score recovery. Stage artifacts
-(checkpoints, stores, selections) are content-addressed under
-``<out_dir>/cache`` so experiment grids reuse shared upstream work.
+Every run flows from a single JSON config. ``experiment_cells`` turns the
+config's kind and ``params`` into a grid of cells, each carrying its own
+config (M as ``selection_size``, k as ``projection_dim``, task and seed
+corpora, victim and retrain optimizers). Every cell runs one chain: split the
+task corpus and train (or reuse) the victim, build the candidate pool,
+autolabel it with the final model, build the projected gradient store, select
+with each of the cell's methods, retrain each selection from the base
+checkpoint, and score recovery.
+
+One job per seed runs every cell of that seed; a failing cell lands in
+``provenance.errors`` and the other cells still run. ``run_experiment`` runs
+the seed jobs, ``parallel`` at a time, and orders rows by (cell, method,
+seed). Stage artifacts (checkpoints, stores, selections) are content-addressed
+under ``<out_dir>/cache`` and keyed by the run seed, so cells of one seed
+reuse shared upstream work and two seed jobs never write the same file.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from .model import (
 )
 from .selector import (
     ALL_METHODS,
+    SCORING_RULES,
     SelectionResult,
     autolabel,
     load_selection,
@@ -124,6 +134,11 @@ class ExperimentConfig:
             raise ValueError("selection_size must be positive")
         if self.num_checkpoints < 1:
             raise ValueError("num_checkpoints must be positive")
+        unknown = set(self.methods or ()) - set(ALL_METHODS + ("expert",))
+        if unknown:
+            raise ValueError(f"unknown methods {sorted(unknown)}")
+        if self.scoring_rule not in SCORING_RULES:
+            raise ValueError(f"unknown scoring_rule {self.scoring_rule!r}")
 
     @property
     def task(self) -> str:
@@ -453,7 +468,6 @@ def gradient_stage(
     ctx: RunContext,
     pool: DocumentSet,
     workspace: Workspace,
-    projection_dim: int | None = None,
 ) -> GradientArtifacts:
     """Autolabel the pool, build (or reuse) the store, compute directions.
 
@@ -463,10 +477,10 @@ def gradient_stage(
     data points away from the final model, so this orientation ranks such
     data highest.
     """
-    k = projection_dim or config.projection_dim
+    k = config.projection_dim
     batch = encode_documents(pool, ctx.vocab, config.seq_len)
     pseudolabels = _stage("autolabel", autolabel, batch, ctx.theta_f)
-    schedule = _stage(
+    checkpoints = _stage(
         "synth-checkpoints",
         synth_checkpoints,
         ctx.theta0,
@@ -494,7 +508,7 @@ def gradient_stage(
         store = _stage(
             "build-store",
             build_store,
-            schedule.checkpoints,
+            checkpoints,
             batch,
             pseudolabels,
             ctx.theta_f,
@@ -502,9 +516,7 @@ def gradient_stage(
             store_path,
             config.chunk_rows,
         )
-    dirs = [
-        -direction(ckpt, ctx.theta_f, proj) for ckpt in schedule.checkpoints
-    ]
+    dirs = [-direction(ckpt, ctx.theta_f, proj) for ckpt in checkpoints]
     return GradientArtifacts(store=store, dirs=dirs, pseudolabels=pseudolabels)
 
 
@@ -514,9 +526,8 @@ def run_selection(
     artifacts: GradientArtifacts,
     method: str,
     workspace: Workspace,
-    num_select: int | None = None,
 ) -> SelectionResult:
-    num_select = num_select or config.selection_size
+    num_select = config.selection_size
     key = _digest(
         [
             "selection",
@@ -637,44 +648,170 @@ def _method_row(
     }
 
 
-def _seed_rows(config: ExperimentConfig, run_seed: int) -> tuple[list[dict], dict]:
-    """All method rows for one pipeline seed; returns (rows, checksums)."""
-    workspace = Workspace(config.out_dir)
-    ctx = prepare_run(config, run_seed, workspace)
-    pool = build_candidate_pool(config, ctx)
-    if config.selection_size > len(pool):
-        raise StageError(
-            "pool",
-            ValueError(
-                f"selection_size {config.selection_size} exceeds pool size {len(pool)}"
-            ),
+@dataclass(frozen=True)
+class Cell:
+    """One grid point: the config its chain runs on, the methods it scores,
+    and its grid coordinates, which are written into each of its rows."""
+
+    config: ExperimentConfig
+    methods: tuple[str, ...]
+    fields: dict
+
+    def label(self, run_seed: int) -> str:
+        return "/".join([*(f"{k}={v}" for k, v in self.fields.items()), f"seed={run_seed}"])
+
+
+def experiment_cells(config: ExperimentConfig) -> list[Cell]:
+    """The grid of one experiment kind, built from ``config.params``."""
+    kind, params = config.experiment, config.params
+    ablation_methods = config.methods or ("select", "random")
+    if kind == "scaling":
+        return [
+            Cell(replace(config, selection_size=m), config.method_list(), {"M": m})
+            for m in params.get("m_list") or [100, 500, 1000]
+        ]
+    if kind == "leakage":
+        return [
+            Cell(config, ("select",), {"leak_fraction": frac})
+            for frac in params.get("leak_fractions") or [0.1, 0.5, 0.9]
+        ]
+    if kind == "crossseed":
+        seed_corpora = params.get("seed_corpora") or {}
+        if not seed_corpora:
+            raise ValueError("crossseed needs params.seed_corpora")
+        task_corpora = params.get("task_corpora") or {"task": config.corpus}
+        return [
+            Cell(
+                replace(config, corpus=task_path, seed_corpus=seed_path),
+                ("select",),
+                {"task": task_name, "seed_corpus": seed_name},
+            )
+            for task_name, task_path in task_corpora.items()
+            for seed_name, seed_path in seed_corpora.items()
+        ]
+    if kind == "projection_dim":
+        return [
+            Cell(replace(config, projection_dim=k), ablation_methods, {"k": k})
+            for k in params.get("k_list") or [512, 4096]
+        ]
+    if kind == "optimizer":
+        cells = []
+        for v_over in params.get("victim_optimizers") or [{"kind": "adam"}]:
+            for r_over in params.get("retrain_optimizers") or [{"kind": "adam"}]:
+                v_opt = OptimizerConfig.from_dict({**config.victim_opt.to_dict(), **v_over})
+                r_opt = OptimizerConfig.from_dict({**config.retrain_opt.to_dict(), **r_over})
+                cell_config = replace(config, victim_opt=v_opt, retrain_opt=r_opt)
+                fields = {"victim_optimizer": v_opt.kind, "retrain_optimizer": r_opt.kind}
+                cells.append(Cell(cell_config, ablation_methods, fields))
+        return cells
+    if kind == "metric_ablation":
+        return [Cell(config, ("select",), {})]
+    return [Cell(config, config.method_list(), {})]
+
+
+def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
+    """pool -> size check -> gradient_stage -> run_selection -> score_selection -> rows.
+
+    ``expert`` skips selection and scores the hidden training set itself.
+    """
+    config = cell.config
+    leak_fraction = cell.fields.get("leak_fraction")
+    if leak_fraction is None:
+        pool = build_candidate_pool(config, ctx)
+    else:
+        if config.seed_corpus:
+            distractors = _stage("load-pool", load_jsonl, config.seed_corpus)
+        else:
+            distractors = ctx.seed_split
+        size = int(config.params.get("leak_pool_size") or config.pool_size or 1000)
+        mix_seed = ctx.run_seed + int(leak_fraction * 1000)
+        seed_pool = _stage(
+            "pool", mix_leakage, ctx.train_docs, distractors, leak_fraction, size, mix_seed
         )
+        pool = seed_pool.documents
+    if config.selection_size > len(pool):
+        error = f"selection_size {config.selection_size} exceeds pool size {len(pool)}"
+        raise StageError("pool", ValueError(error))
     artifacts = gradient_stage(config, ctx, pool, workspace)
     rows = []
-    for method in config.method_list():
+    for method in cell.methods:
         if method == "expert":
             selected = ctx.train_docs
-            num_select = len(selected)
         else:
-            result = run_selection(config, ctx, artifacts, method, workspace)
+            result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
             selected = selected_documents(pool, result, artifacts.pseudolabels)
-            num_select = len(result.indices)
+        if config.experiment == "metric_ablation":
+            rows.extend(_replace_trial_rows(config, ctx, selected))
+            continue
         report = score_selection(config, ctx, selected, ctx.train_docs)
-        rows.append(_method_row(config, ctx, method, report, num_select))
-    checksums = {
-        "theta0": ctx.theta0.fingerprint(),
-        "theta_f": ctx.theta_f.fingerprint(),
-    }
-    return rows, checksums
+        row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
+        if leak_fraction is not None:
+            row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())
+        rows.append(row)
+    return rows
 
 
-def _seed_job(config_dict: dict, run_seed: int) -> tuple[int, list[dict], dict, str]:
+def _replace_trial_rows(
+    config: ExperimentConfig, ctx: RunContext, recovered: DocumentSet
+) -> list[dict]:
+    """Swap recovered documents for ground truth stepwise, watch both metrics."""
+    steps = config.params.get("replace_steps") or [round(0.1 * i, 1) for i in range(11)]
+    trials = int(config.params.get("trials") or 5)
+    reference = ctx.train_docs
+    num_select = len(recovered)
+    rows: list[dict] = []
+    for step in steps:
+        n_replace = int(round(step * num_select))
+        for trial in range(trials):
+            rng = np.random.default_rng(ctx.run_seed * 1000 + trial)
+            replace_pos = rng.choice(num_select, size=n_replace, replace=False)
+            truth_pos = rng.choice(len(reference), size=n_replace, replace=False)
+            texts = [d.text for d in recovered]
+            for p, t in zip(replace_pos, truth_pos):
+                texts[int(p)] = reference[int(t)].text
+            mixed = DocumentSet(
+                Document(i, text, None) for i, text in enumerate(texts)
+            )
+            containment = _stage("metrics", vocab_containment, mixed, reference)
+            ot = _stage(
+                "metrics", recovery_ot, mixed, reference, ctx, config.ot_max_points
+            )
+            rows.append({
+                "experiment": config.experiment, "method": "select", "seed": ctx.run_seed,
+                "replace_fraction": step, "trial": trial,
+                "vocab_containment": containment, "ot_distance": ot.distance,
+            })
+    return rows
+
+
+def _seed_job(
+    config_dict: dict, run_seed: int
+) -> tuple[list[tuple[int, dict]], dict, list[str]]:
+    """Every cell of one seed; a failing cell records its error and the rest run.
+
+    Returns (cell index, row) pairs, and checkpoint checksums and errors keyed
+    by the cell's label.
+    """
     config = ExperimentConfig.from_dict(config_dict)
-    try:
-        rows, checksums = _seed_rows(config, run_seed)
-        return run_seed, rows, checksums, ""
-    except StageError as exc:
-        return run_seed, [], {}, str(exc)
+    workspace = Workspace(config.out_dir)
+    rows: list[tuple[int, dict]] = []
+    checksums: dict = {}
+    errors: list[str] = []
+    for index, cell in enumerate(experiment_cells(config)):
+        label = cell.label(run_seed)
+        try:
+            ctx = prepare_run(cell.config, run_seed, workspace)
+            cell_rows = _cell_rows(cell, ctx, workspace)
+        except Exception as exc:
+            logger.exception("%s failed", label)
+            errors.append(f"{label}: {exc}")
+            continue
+        rows.extend((index, row) for row in cell_rows)
+        checksums[label] = {
+            "theta0": ctx.theta0.fingerprint(),
+            "theta_f": ctx.theta_f.fingerprint(),
+        }
+    return rows, checksums, errors
 
 
 def _run_jobs(
@@ -687,339 +824,35 @@ def _run_jobs(
         return [f.result() for f in futures]
 
 
-def _bundle(config: ExperimentConfig, rows: list[dict], checksums: dict, errors: list[str]) -> ReportBundle:
+def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportBundle:
+    """Every cell of the config's grid for every seed, ``parallel`` seeds at a time.
+
+    Rows come in (cell, method, seed) order. metric_ablation runs the first
+    seed only.
+    """
+    cells = experiment_cells(config)
+    seeds = config.seeds[:1] if config.experiment == "metric_ablation" else config.seeds
+    results = _run_jobs(_seed_job, [(config.to_dict(), s) for s in seeds], parallel)
+    tagged = sorted(
+        (pair for seed_rows, _, _ in results for pair in seed_rows),
+        key=lambda t: (t[0], cells[t[0]].methods.index(t[1]["method"]), t[1]["seed"]),
+    )
+    rows = [row for _, row in tagged]
     return ReportBundle(
         rows=rows,
         aggregates=aggregate_rows(rows),
         provenance={
             "config_hash": config.config_hash(),
             "toolkit_version": __version__,
-            "checkpoint_checksums": checksums,
-            "errors": errors,
+            "checkpoint_checksums": {k: v for _, sums, _ in results for k, v in sums.items()},
+            "errors": [error for _, _, errors in results for error in errors],
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
     )
 
 
-def run_pipeline(config: ExperimentConfig, parallel: int = 1) -> ReportBundle:
-    """Full per-seed pipeline over every configured method."""
-    results = _run_jobs(
-        _seed_job, [(config.to_dict(), s) for s in config.seeds], parallel
-    )
-    rows: list[dict] = []
-    checksums: dict = {}
-    errors: list[str] = []
-    for run_seed, seed_rows, sums, error in results:
-        if error:
-            logger.error("seed %d failed: %s", run_seed, error)
-            errors.append(f"seed {run_seed}: {error}")
-            continue
-        rows.extend(seed_rows)
-        checksums[str(run_seed)] = sums
-    rows.sort(key=lambda r: (config.method_list().index(r["method"]), r["seed"]))
-    return _bundle(config, rows, checksums, errors)
-
-
-def experiment_scaling(
-    config: ExperimentConfig, m_list: Sequence[int] | None = None, parallel: int = 1
-) -> ReportBundle:
-    """Accuracy-vs-selection-size series on shared checkpoints and stores."""
-    m_list = list(m_list or config.params.get("m_list") or [100, 500, 1000])
-    rows: list[dict] = []
-    checksums: dict = {}
-    errors: list[str] = []
-    workspace = Workspace(config.out_dir)
-    for run_seed in config.seeds:
-        try:
-            ctx = prepare_run(config, run_seed, workspace)
-            pool = build_candidate_pool(config, ctx)
-            artifacts = gradient_stage(config, ctx, pool, workspace)
-            for m in m_list:
-                for method in config.method_list():
-                    result = run_selection(
-                        config, ctx, artifacts, method, workspace, num_select=m
-                    )
-                    selected = selected_documents(pool, result, artifacts.pseudolabels)
-                    report = score_selection(config, ctx, selected, ctx.train_docs)
-                    row = _method_row(config, ctx, method, report, m)
-                    rows.append(row)
-            checksums[str(run_seed)] = {
-                "theta0": ctx.theta0.fingerprint(),
-                "theta_f": ctx.theta_f.fingerprint(),
-            }
-        except StageError as exc:
-            errors.append(f"seed {run_seed}: {exc}")
-    return _bundle(config, rows, checksums, errors)
-
-
-def experiment_leakage(
-    config: ExperimentConfig,
-    leak_fractions: Sequence[float] | None = None,
-    parallel: int = 1,
-) -> ReportBundle:
-    """SELECT quality as a controlled fraction of the pool is true data."""
-    fractions = list(
-        leak_fractions or config.params.get("leak_fractions") or [0.1, 0.5, 0.9]
-    )
-    pool_size = int(config.params.get("leak_pool_size") or config.pool_size or 1000)
-    rows: list[dict] = []
-    checksums: dict = {}
-    errors: list[str] = []
-    workspace = Workspace(config.out_dir)
-    for run_seed in config.seeds:
-        try:
-            ctx = prepare_run(config, run_seed, workspace)
-            if config.seed_corpus:
-                distractors = load_jsonl(config.seed_corpus)
-            else:
-                distractors = ctx.seed_split
-            for frac in fractions:
-                seed_pool = mix_leakage(
-                    ctx.train_docs,
-                    distractors,
-                    frac,
-                    pool_size,
-                    seed=run_seed + int(frac * 1000),
-                )
-                pool = seed_pool.documents
-                artifacts = gradient_stage(config, ctx, pool, workspace)
-                result = run_selection(config, ctx, artifacts, "select", workspace)
-                selected = selected_documents(pool, result, artifacts.pseudolabels)
-                report = score_selection(config, ctx, selected, ctx.train_docs)
-                row = _method_row(
-                    config, ctx, "select", report, len(result.indices)
-                )
-                row["leak_fraction"] = frac
-                row["leaked_selected"] = int(
-                    seed_pool.leak_mask[list(result.indices)].sum()
-                )
-                rows.append(row)
-            checksums[str(run_seed)] = {
-                "theta0": ctx.theta0.fingerprint(),
-                "theta_f": ctx.theta_f.fingerprint(),
-            }
-        except StageError as exc:
-            errors.append(f"seed {run_seed}: {exc}")
-    return _bundle(config, rows, checksums, errors)
-
-
-def experiment_crossseed(
-    config: ExperimentConfig,
-    seed_corpora: dict[str, str] | None = None,
-    task_corpora: dict[str, str] | None = None,
-    parallel: int = 1,
-) -> ReportBundle:
-    """SELECT accuracy matrix over (seed corpus, task corpus) pairs."""
-    seed_corpora = seed_corpora or config.params.get("seed_corpora") or {}
-    task_corpora = task_corpora or config.params.get("task_corpora") or {
-        "task": config.corpus
-    }
-    if not seed_corpora:
-        raise ValueError("crossseed needs params.seed_corpora")
-    rows: list[dict] = []
-    checksums: dict = {}
-    errors: list[str] = []
-    workspace = Workspace(config.out_dir)
-    for task_name, task_path in task_corpora.items():
-        for seed_name, seed_path in seed_corpora.items():
-            cell_config = replace(
-                config, corpus=task_path, seed_corpus=seed_path
-            )
-            for run_seed in config.seeds:
-                try:
-                    ctx = prepare_run(cell_config, run_seed, workspace)
-                    pool = build_candidate_pool(cell_config, ctx)
-                    artifacts = gradient_stage(cell_config, ctx, pool, workspace)
-                    result = run_selection(
-                        cell_config, ctx, artifacts, "select", workspace
-                    )
-                    selected = selected_documents(
-                        pool, result, artifacts.pseudolabels
-                    )
-                    report = score_selection(
-                        cell_config, ctx, selected, ctx.train_docs
-                    )
-                    row = _method_row(
-                        cell_config, ctx, "select", report, len(result.indices)
-                    )
-                    row["task"] = task_name
-                    row["seed_corpus"] = seed_name
-                    rows.append(row)
-                    checksums[f"{task_name}/{seed_name}/{run_seed}"] = {
-                        "theta_f": ctx.theta_f.fingerprint()
-                    }
-                except StageError as exc:
-                    errors.append(f"{task_name}/{seed_name}/{run_seed}: {exc}")
-    return _bundle(config, rows, checksums, errors)
-
-
-def experiment_projection_dim(
-    config: ExperimentConfig, k_list: Sequence[int] | None = None, parallel: int = 1
-) -> ReportBundle:
-    """SELECT vs Random across sketch dimensions."""
-    k_list = list(k_list or config.params.get("k_list") or [512, 4096])
-    methods = config.methods or ("select", "random")
-    rows: list[dict] = []
-    checksums: dict = {}
-    errors: list[str] = []
-    workspace = Workspace(config.out_dir)
-    for run_seed in config.seeds:
-        try:
-            ctx = prepare_run(config, run_seed, workspace)
-            pool = build_candidate_pool(config, ctx)
-            for k in k_list:
-                artifacts = gradient_stage(
-                    config, ctx, pool, workspace, projection_dim=k
-                )
-                k_config = replace(config, projection_dim=k, methods=tuple(methods))
-                for method in methods:
-                    result = run_selection(
-                        k_config, ctx, artifacts, method, workspace
-                    )
-                    selected = selected_documents(
-                        pool, result, artifacts.pseudolabels
-                    )
-                    report = score_selection(
-                        k_config, ctx, selected, ctx.train_docs
-                    )
-                    rows.append(
-                        _method_row(
-                            k_config, ctx, method, report, len(result.indices)
-                        )
-                    )
-            checksums[str(run_seed)] = {"theta_f": ctx.theta_f.fingerprint()}
-        except StageError as exc:
-            errors.append(f"seed {run_seed}: {exc}")
-    return _bundle(config, rows, checksums, errors)
-
-
-def experiment_optimizer(
-    config: ExperimentConfig,
-    optimizer_pairs: Sequence[tuple[dict, dict]] | None = None,
-    parallel: int = 1,
-) -> ReportBundle:
-    """Full cross of victim optimizer x retrain optimizer for SELECT and Random."""
-    if optimizer_pairs is None:
-        victims = config.params.get("victim_optimizers") or [{"kind": "adam"}]
-        retrains = config.params.get("retrain_optimizers") or [{"kind": "adam"}]
-        optimizer_pairs = [(v, r) for v in victims for r in retrains]
-    methods = config.methods or ("select", "random")
-    rows: list[dict] = []
-    checksums: dict = {}
-    errors: list[str] = []
-    workspace = Workspace(config.out_dir)
-    for victim_over, retrain_over in optimizer_pairs:
-        cell_config = replace(
-            config,
-            victim_opt=OptimizerConfig.from_dict(
-                {**config.victim_opt.to_dict(), **victim_over}
-            ),
-            retrain_opt=OptimizerConfig.from_dict(
-                {**config.retrain_opt.to_dict(), **retrain_over}
-            ),
-            methods=tuple(methods),
-        )
-        for run_seed in config.seeds:
-            try:
-                ctx = prepare_run(cell_config, run_seed, workspace)
-                pool = build_candidate_pool(cell_config, ctx)
-                artifacts = gradient_stage(cell_config, ctx, pool, workspace)
-                for method in methods:
-                    result = run_selection(
-                        cell_config, ctx, artifacts, method, workspace
-                    )
-                    selected = selected_documents(
-                        pool, result, artifacts.pseudolabels
-                    )
-                    report = score_selection(
-                        cell_config, ctx, selected, ctx.train_docs
-                    )
-                    row = _method_row(
-                        cell_config, ctx, method, report, len(result.indices)
-                    )
-                    row["victim_optimizer"] = cell_config.victim_opt.kind
-                    row["retrain_optimizer"] = cell_config.retrain_opt.kind
-                    rows.append(row)
-            except StageError as exc:
-                errors.append(
-                    f"{cell_config.victim_opt.kind}/{cell_config.retrain_opt.kind}"
-                    f"/{run_seed}: {exc}"
-                )
-    return _bundle(config, rows, checksums, errors)
-
-
-def experiment_metric_ablation(
-    config: ExperimentConfig,
-    replace_steps: Sequence[float] | None = None,
-    trials: int | None = None,
-    parallel: int = 1,
-) -> ReportBundle:
-    """Swap recovered documents for ground truth stepwise, watch both metrics."""
-    steps = list(
-        replace_steps
-        or config.params.get("replace_steps")
-        or [round(0.1 * i, 1) for i in range(11)]
-    )
-    trials = int(trials or config.params.get("trials") or 5)
-    run_seed = config.seeds[0]
-    workspace = Workspace(config.out_dir)
-    ctx = prepare_run(config, run_seed, workspace)
-    pool = build_candidate_pool(config, ctx)
-    artifacts = gradient_stage(config, ctx, pool, workspace)
-    result = run_selection(config, ctx, artifacts, "select", workspace)
-    recovered = selected_documents(pool, result, artifacts.pseudolabels)
-    reference = ctx.train_docs
-    num_select = len(recovered)
-    rows: list[dict] = []
-    for step in steps:
-        n_replace = int(round(step * num_select))
-        for trial in range(trials):
-            rng = np.random.default_rng(run_seed * 1000 + trial)
-            replace_pos = rng.choice(num_select, size=n_replace, replace=False)
-            truth_pos = rng.choice(len(reference), size=n_replace, replace=False)
-            texts = [d.text for d in recovered]
-            for p, t in zip(replace_pos, truth_pos):
-                texts[int(p)] = reference[int(t)].text
-            mixed = DocumentSet(
-                Document(i, text, None) for i, text in enumerate(texts)
-            )
-            containment = vocab_containment(mixed, reference)
-            ot = recovery_ot(mixed, reference, ctx, config.ot_max_points)
-            rows.append(
-                {
-                    "experiment": config.experiment,
-                    "method": "select",
-                    "seed": run_seed,
-                    "replace_fraction": step,
-                    "trial": trial,
-                    "vocab_containment": containment,
-                    "ot_distance": ot.distance,
-                }
-            )
-    checksums = {str(run_seed): {"theta_f": ctx.theta_f.fingerprint()}}
-    bundle = _bundle(config, rows, checksums, [])
-    return bundle
-
-
-def run_experiment(
-    config: ExperimentConfig, kind: str | None = None, parallel: int = 1
-) -> ReportBundle:
-    kind = kind or config.experiment
-    if kind == "pipeline":
-        return run_pipeline(config, parallel)
-    if kind == "scaling":
-        return experiment_scaling(config, parallel=parallel)
-    if kind == "leakage":
-        return experiment_leakage(config, parallel=parallel)
-    if kind == "crossseed":
-        return experiment_crossseed(config, parallel=parallel)
-    if kind == "projection_dim":
-        return experiment_projection_dim(config, parallel=parallel)
-    if kind == "optimizer":
-        return experiment_optimizer(config, parallel=parallel)
-    if kind == "metric_ablation":
-        return experiment_metric_ablation(config, parallel=parallel)
-    raise ValueError(f"unknown experiment kind {kind!r}")
+# perfbench calls and traces the pipeline under this name.
+run_pipeline = run_experiment
 
 
 _FIGURE_AXES = {

@@ -40,15 +40,6 @@ _ZERO_SUM_REL = 1e-6
 
 
 @dataclass(frozen=True)
-class CheckpointSchedule:
-    checkpoints: list[ModelParams]
-
-    @property
-    def count(self) -> int:
-        return len(self.checkpoints)
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     indices: list[int]
     step_scores: list[float]
@@ -64,7 +55,7 @@ class SelectionResult:
 
 def synth_checkpoints(
     theta0: ModelParams, theta_f: ModelParams, num_checkpoints: int
-) -> CheckpointSchedule:
+) -> list[ModelParams]:
     """Linear interpolations theta_hat_j = (1 - j/P) theta0 + (j/P) theta_f.
 
     j runs 0..P-1: the start point is included, the final model is not
@@ -87,7 +78,7 @@ def synth_checkpoints(
             )
             block[:] = mixed.astype(block.dtype)
         out.append(interp)
-    return CheckpointSchedule(out)
+    return out
 
 
 def autolabel(batch: TokenBatch, theta_f: ModelParams) -> np.ndarray | None:

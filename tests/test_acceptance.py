@@ -34,9 +34,7 @@ from gradselect.gradstore import (
 from gradselect.harness import (
     ExperimentConfig,
     Workspace,
-    experiment_metric_ablation,
-    experiment_projection_dim,
-    experiment_leakage,
+    run_experiment,
     run_pipeline,
 )
 from gradselect.metrics import EmbeddingSet, ot_distance
@@ -353,7 +351,7 @@ def test_criterion_06_leakage_monotonicity(tmp_path):
             "params": {"leak_fractions": [0.1, 0.5, 0.9], "leak_pool_size": 2000},
         }
     )
-    bundle = experiment_leakage(config)
+    bundle = run_experiment(config)
     assert not bundle.provenance["errors"]
     fractions = [0.1, 0.5, 0.9]
     acc = [mean_by(bundle.rows, "leak_fraction", f, "accuracy") for f in fractions]
@@ -384,7 +382,7 @@ def test_criterion_07_metric_ablation(tmp_path):
         out_dir=str(tmp_path / "run_ablation"),
         params={"replace_steps": [round(0.1 * i, 1) for i in range(11)], "trials": 5},
     )
-    bundle = experiment_metric_ablation(config)
+    bundle = run_experiment(config)
     steps = [round(0.1 * i, 1) for i in range(11)]
     final_rows = [r for r in bundle.rows if r["replace_fraction"] == 1.0]
     assert len(final_rows) == 5
@@ -518,7 +516,7 @@ def test_criterion_10_projection_dim(tmp_path):
         out_dir=str(tmp_path / "run_kdim"),
         params={"k_list": [512, 4096]},
     )
-    bundle = experiment_projection_dim(config)
+    bundle = run_experiment(config)
     assert not bundle.provenance["errors"]
     for k in (512, 4096):
         select_rows = [

@@ -197,7 +197,7 @@ class TestBuildStore:
     def test_single_checkpoint_contract(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()
         store = build_store(
-            schedule.checkpoints, batch, labels, theta_f, proj, tmp_path / "s.selg"
+            schedule, batch, labels, theta_f, proj, tmp_path / "s.selg"
         )
         assert store.num_checkpoints == 1
         assert store.num_examples == 3
@@ -206,30 +206,30 @@ class TestBuildStore:
     def test_rebuild_bit_identical(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup(num_checkpoints=2, n=20)
         p1, p2 = tmp_path / "a.selg", tmp_path / "b.selg"
-        build_store(schedule.checkpoints, batch, labels, theta_f, proj, p1)
-        build_store(schedule.checkpoints, batch, labels, theta_f, proj, p2)
+        build_store(schedule, batch, labels, theta_f, proj, p1)
+        build_store(schedule, batch, labels, theta_f, proj, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rows_match_recompute_oracle(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup(num_checkpoints=3, n=25)
         store = build_store(
-            schedule.checkpoints, batch, labels, theta_f, proj, tmp_path / "s.selg"
+            schedule, batch, labels, theta_f, proj, tmp_path / "s.selg"
         )
         rng = np.random.default_rng(0)
         for _ in range(20):
             j = int(rng.integers(0, 3))
             i = int(rng.integers(0, 25))
-            g = last_layer_grad(schedule.checkpoints[j], batch.row(i), labels[i])
+            g = last_layer_grad(schedule[j], batch.row(i), labels[i])
             want = project(g, proj).astype(np.float32)
             assert np.allclose(store.row(j, i), want, rtol=1e-5, atol=1e-7)
 
     def test_chunk_size_changes_nothing(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup(n=30)
         a = build_store(
-            schedule.checkpoints, batch, labels, theta_f, proj, tmp_path / "a.selg", chunk_rows=4
+            schedule, batch, labels, theta_f, proj, tmp_path / "a.selg", chunk_rows=4
         )
         b = build_store(
-            schedule.checkpoints, batch, labels, theta_f, proj, tmp_path / "b.selg", chunk_rows=17
+            schedule, batch, labels, theta_f, proj, tmp_path / "b.selg", chunk_rows=17
         )
         assert np.array_equal(np.asarray(a.block(0)), np.asarray(b.block(0)))
         assert np.array_equal(a.final_losses, b.final_losses)
@@ -267,7 +267,7 @@ class TestBuildStore:
     def test_data_is_64_byte_aligned(self, tmp_path, num_checkpoints, n):
         schedule, batch, labels, theta_f, proj = self._setup(num_checkpoints, n)
         path = tmp_path / "s.selg"
-        store = build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
+        store = build_store(schedule, batch, labels, theta_f, proj, path)
         assert data_offset(path) % 64 == 0
         for j in range(num_checkpoints):
             assert store.block(j).flags.aligned
@@ -275,7 +275,7 @@ class TestBuildStore:
     def test_truncated_store(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()
         path = tmp_path / "s.selg"
-        build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
+        build_store(schedule, batch, labels, theta_f, proj, path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="unexpected end of store"):
@@ -284,7 +284,7 @@ class TestBuildStore:
     def test_trailing_byte_rejected(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()
         path = tmp_path / "s.selg"
-        build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
+        build_store(schedule, batch, labels, theta_f, proj, path)
         GradientStore(path)  # the exact size opens
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="unexpected end of store"):
@@ -293,7 +293,7 @@ class TestBuildStore:
     def test_wrong_magic(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()
         path = tmp_path / "s.selg"
-        build_store(schedule.checkpoints, batch, labels, theta_f, proj, path)
+        build_store(schedule, batch, labels, theta_f, proj, path)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
@@ -303,7 +303,7 @@ class TestBuildStore:
     def test_labels_required_for_classification(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()
         with pytest.raises(ValueError, match="pseudolabel"):
-            build_store(schedule.checkpoints, batch, None, theta_f, proj, tmp_path / "s.selg")
+            build_store(schedule, batch, None, theta_f, proj, tmp_path / "s.selg")
 
 
 class TestScanScores:
@@ -347,13 +347,6 @@ class TestScanScores:
             scan_scores(store, [np.zeros(3)])
         with pytest.raises(ValueError, match="checkpoints"):
             scan_scores(store, [np.zeros(2), np.zeros(2)])
-
-    def test_custom_combiner(self, tmp_path):
-        store = self._store(tmp_path, [[[1, 0], [0, 2]]])
-        scores = scan_scores(
-            store, [np.array([1.0, 0.0])], combiner=lambda j, start, block: block[:, 1]
-        )
-        assert np.allclose(scores, [0.0, 2.0])
 
 
 class TestStoreLayout:

@@ -9,18 +9,15 @@ import pytest
 from gradselect.cli import main as cli_main
 from gradselect.corpus import save_jsonl
 from gradselect.harness import (
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     ReportBundle,
     Workspace,
     aggregate_rows,
     carve_validation,
     emit_reports,
-    experiment_crossseed,
-    experiment_leakage,
-    experiment_metric_ablation,
-    experiment_optimizer,
-    experiment_projection_dim,
-    experiment_scaling,
+    experiment_cells,
+    run_experiment,
     run_pipeline,
 )
 from gradselect.toycorpus import make_classification_corpus, make_pool_corpus
@@ -97,6 +94,14 @@ class TestConfig:
         assert loaded == config
         assert loaded.config_hash() == config.config_hash()
 
+    def test_unknown_method_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="bogus"):
+            base_config(tmp_path, methods=["select", "bogus"])
+
+    def test_unknown_scoring_rule_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="scoring_rule"):
+            base_config(tmp_path, scoring_rule="cosine")
+
     def test_default_methods_by_task(self, tmp_path):
         config = base_config(tmp_path)
         assert "topk_balanced" in config.method_list()
@@ -164,15 +169,20 @@ class TestPipeline:
         loaded = ReportBundle.from_json(out / "report.json")
         assert loaded.rows == bundle.rows
 
-    def test_parallel_matches_serial(self, tmp_path):
-        config = base_config(tmp_path, methods=["select", "random"], seeds=[0, 1])
-        serial = run_pipeline(config, parallel=1)
-        other = base_config(
-            tmp_path, methods=["select", "random"], seeds=[0, 1],
-            out_dir=str(tmp_path / "run_par"),
+    @pytest.mark.parametrize("kind", ["pipeline", "scaling"])
+    def test_parallel_matches_serial(self, tmp_path, kind):
+        overrides = dict(
+            experiment=kind, methods=["select", "random"], seeds=[0, 1], params={"m_list": [5, 10]}
         )
-        par = run_pipeline(other, parallel=2)
+        config = base_config(tmp_path, **overrides)
+        serial = run_experiment(config, parallel=1)
+        other = base_config(tmp_path, out_dir=str(tmp_path / "run_par"), **overrides)
+        par = run_experiment(other, parallel=2)
+        assert not serial.provenance["errors"]
         assert serial.rows == par.rows
+        assert (
+            serial.provenance["checkpoint_checksums"] == par.provenance["checkpoint_checksums"]
+        )
 
 
 class TestDeterminismAcrossFreshDirs:
@@ -203,9 +213,68 @@ class TestExperiments:
             seeds=[0],
             params={"m_list": [5, 10, 20]},
         )
-        bundle = experiment_scaling(config)
+        bundle = run_experiment(config)
         assert len(bundle.rows) == 2 * 3
         assert sorted({r["M"] for r in bundle.rows}) == [5, 10, 20]
+
+    def test_selection_failure_stays_in_its_cell(self, tmp_path):
+        # The seed split holds 80 of the 400 documents: M=5000 cannot be met.
+        config = base_config(
+            tmp_path,
+            experiment="scaling",
+            methods=["select", "expert"],
+            seeds=[0],
+            params={"m_list": [5, 5000]},
+        )
+        bundle = run_experiment(config)
+        assert {(r["method"], r["M"]) for r in bundle.rows} == {("select", 5), ("expert", 5)}
+        (error,) = bundle.provenance["errors"]
+        assert "M=5000" in error and "pool size 80" in error
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_every_kind_runs_its_whole_grid(self, tmp_path, kind):
+        pools = {}
+        for name, seed in (("pa", 3), ("pb", 4)):
+            pools[name] = str(tmp_path / f"{name}.jsonl")
+            save_jsonl(make_pool_corpus(120, 4, seed=seed), pools[name])
+        seeds = [0] if kind == "metric_ablation" else [0, 1]
+        config = base_config(
+            tmp_path,
+            experiment=kind,
+            seeds=seeds,
+            selection_size=10,
+            methods=None if kind == "pipeline" else ["select", "random"],
+            params={
+                "m_list": [5, 10],
+                "leak_fractions": [0.1, 0.5],
+                "leak_pool_size": 60,
+                "seed_corpora": pools,
+                "k_list": [16, 32],
+                "victim_optimizers": [{"kind": "sgd"}, {"kind": "adam", "learning_rate": 0.01}],
+                "retrain_optimizers": [{"kind": "adam", "learning_rate": 0.01}],
+                "replace_steps": [0.0, 1.0],
+                "trials": 1,
+            },
+        )
+        bundle = run_experiment(config)
+        assert not bundle.provenance["errors"]
+        cells = experiment_cells(config)
+
+        def order(row):
+            (index,) = [
+                i for i, c in enumerate(cells) if all(row[k] == v for k, v in c.fields.items())
+            ]
+            return index, cells[index].methods.index(row["method"]), row["seed"]
+
+        keys = [order(r) for r in bundle.rows]
+        assert keys == sorted(keys)
+        if kind != "metric_ablation":
+            assert len(set(keys)) == len(keys) == sum(len(c.methods) for c in cells) * len(seeds)
+        checksums = bundle.provenance["checkpoint_checksums"]
+        assert set(checksums) == {c.label(s) for c in cells for s in seeds}
+        assert len(checksums) == len(cells) * len(seeds)
+        for entry in checksums.values():
+            assert set(entry) == {"theta0", "theta_f"}
 
     def test_leakage_series_and_counts(self, tmp_path):
         pool = tmp_path / "distractors.jsonl"
@@ -218,7 +287,7 @@ class TestExperiments:
             selection_size=15,
             params={"leak_fractions": [0.1, 0.5, 0.9], "leak_pool_size": 100},
         )
-        bundle = experiment_leakage(config)
+        bundle = run_experiment(config)
         assert [r["leak_fraction"] for r in bundle.rows] == [0.1, 0.5, 0.9]
         for row in bundle.rows:
             assert 0 <= row["leaked_selected"] <= 15
@@ -241,7 +310,7 @@ class TestExperiments:
                 "seed_corpora": {"pa": str(pool_a), "pb": str(pool_b)},
             },
         )
-        bundle = experiment_crossseed(config)
+        bundle = run_experiment(config)
         assert {(r["task"], r["seed_corpus"]) for r in bundle.rows} == {
             ("a", "pa"), ("a", "pb"), ("b", "pa"), ("b", "pb")
         }
@@ -253,7 +322,7 @@ class TestExperiments:
             seeds=[0],
             params={"k_list": [16, 64]},
         )
-        bundle = experiment_projection_dim(config)
+        bundle = run_experiment(config)
         assert {(r["method"], r["k"]) for r in bundle.rows} == {
             ("select", 16), ("select", 64), ("random", 16), ("random", 64)
         }
@@ -268,7 +337,7 @@ class TestExperiments:
                 "retrain_optimizers": [{"kind": "adam", "learning_rate": 0.01}],
             },
         )
-        bundle = experiment_optimizer(config)
+        bundle = run_experiment(config)
         assert len(bundle.rows) == 2 * 1 * 2  # victims x retrains x methods
         assert {r["victim_optimizer"] for r in bundle.rows} == {"sgd", "adam"}
 
@@ -280,7 +349,7 @@ class TestExperiments:
             selection_size=15,
             params={"replace_steps": [0.0, 0.5, 1.0], "trials": 2},
         )
-        bundle = experiment_metric_ablation(config)
+        bundle = run_experiment(config)
         assert len(bundle.rows) == 3 * 2
         final = [r for r in bundle.rows if r["replace_fraction"] == 1.0]
         assert all(r["vocab_containment"] == 1.0 for r in final)
@@ -293,7 +362,7 @@ class TestExperiments:
             seeds=[0],
             params={"m_list": [5, 10]},
         )
-        bundle = experiment_scaling(config)
+        bundle = run_experiment(config)
         emit_reports(config, bundle)
         fig_dir = tmp_path / "run" / "figures"
         assert (fig_dir / "scaling.csv").exists()

@@ -52,25 +52,25 @@ class TestSynthCheckpoints:
     def test_single_checkpoint_is_theta0(self):
         theta0, theta_f = self._pair()
         sched = synth_checkpoints(theta0, theta_f, 1)
-        assert sched.count == 1
-        assert np.array_equal(sched.checkpoints[0].embedding, theta0.embedding)
+        assert len(sched) == 1
+        assert np.array_equal(sched[0].embedding, theta0.embedding)
 
     def test_two_checkpoints_midpoint(self):
         theta0, theta_f = self._pair()
         sched = synth_checkpoints(theta0, theta_f, 2)
         mid = (theta0.head_w.astype(np.float64) + theta_f.head_w.astype(np.float64)) / 2
-        assert np.allclose(sched.checkpoints[1].head_w, mid, atol=1e-6)
+        assert np.allclose(sched[1].head_w, mid, atol=1e-6)
 
     def test_degenerate_equal_endpoints(self):
         theta0, _ = self._pair()
         sched = synth_checkpoints(theta0, theta0.copy(), 3)
-        for ckpt in sched.checkpoints:
+        for ckpt in sched:
             assert np.array_equal(ckpt.head_w, theta0.head_w)
 
     def test_final_model_never_emitted(self):
         theta0, theta_f = self._pair()
         sched = synth_checkpoints(theta0, theta_f, 4)
-        for ckpt in sched.checkpoints:
+        for ckpt in sched:
             assert not np.array_equal(ckpt.head_w, theta_f.head_w)
 
     def test_incompatible_rejected(self):
