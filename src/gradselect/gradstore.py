@@ -24,6 +24,7 @@ open.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +39,7 @@ from .model import (
     _class_activations,
     _lm_activations,
     _per_example_losses,
+    _unpad,
 )
 
 STORE_MAGIC = b"SELG"
@@ -156,6 +158,7 @@ def _last_layer_grad_batch(
         err[np.arange(len(lens)), labels] -= 1.0
         gw = err[:, :, None] * z[:, None, :].astype(np.float64)
         return np.concatenate([gw.reshape(len(lens), -1), err], axis=1)
+    ids = _unpad(ids, lens)
     _, z, logp, pos_mask = _lm_activations(params, ids, lens)
     err = np.exp(logp).astype(np.float64)
     targets = ids[:, 1:]
@@ -167,7 +170,7 @@ def _last_layer_grad_batch(
     )
     err *= pos_mask[:, :, None]
     denom = pos_mask.sum(axis=1).astype(np.float64)
-    gw = np.einsum("btv,bth->bvh", err, z.astype(np.float64))
+    gw = np.matmul(err.transpose(0, 2, 1), z.astype(np.float64))
     gw /= denom[:, None, None]
     gb = err.sum(axis=1) / denom[:, None]
     return np.concatenate([gw.reshape(len(lens), -1), gb], axis=1)
@@ -334,7 +337,9 @@ def build_store(
 
     Gradients are taken against pseudolabels (next-token uses the sequence
     itself); the loss of each example under theta_f is cached alongside so
-    likelihood baselines need no second pass.
+    likelihood baselines need no second pass. The file is written under a
+    temporary name and renamed into place, so a crash mid-write never leaves
+    a truncated store at ``path``.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
@@ -366,8 +371,9 @@ def build_store(
 
     fingerprints = [c.fingerprint() for c in checkpoints]
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             _write_header(fh, n, proj, len(checkpoints), chunk_rows, fingerprints)
             for ckpt in checkpoints:
                 for s0 in range(0, n, _COMPUTE_BATCH):
@@ -385,8 +391,11 @@ def build_store(
                 fh.write(np.full(n, -1.0, dtype="<f4").tobytes())
             else:
                 fh.write(labels.astype("<f4").tobytes())
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"store write failed near example chunk: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
     return GradientStore(path)
 
 

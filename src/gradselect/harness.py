@@ -502,9 +502,16 @@ def gradient_stage(
         ]
     )
     store_path = workspace.path(f"store-{store_key}.selg")
+    store = None
     if store_path.exists():
-        store = GradientStore(store_path)
-    else:
+        try:
+            store = _stage("open-store", GradientStore, store_path)
+        except StageError as exc:
+            # A truncated or malformed file; an OS error would only repeat on rebuild.
+            if not isinstance(exc.original, (ValueError, KeyError)):
+                raise
+            logger.warning("rebuilding unreadable cached store: %s", exc)
+    if store is None:
         store = _stage(
             "build-store",
             build_store,
@@ -701,7 +708,10 @@ def experiment_cells(config: ExperimentConfig) -> list[Cell]:
                 v_opt = OptimizerConfig.from_dict({**config.victim_opt.to_dict(), **v_over})
                 r_opt = OptimizerConfig.from_dict({**config.retrain_opt.to_dict(), **r_over})
                 cell_config = replace(config, victim_opt=v_opt, retrain_opt=r_opt)
-                fields = {"victim_optimizer": v_opt.kind, "retrain_optimizer": r_opt.kind}
+                fields = {
+                    **_optimizer_fields("victim", v_opt, v_over),
+                    **_optimizer_fields("retrain", r_opt, r_over),
+                }
                 cells.append(Cell(cell_config, ablation_methods, fields))
         return cells
     if kind == "metric_ablation":
@@ -709,10 +719,22 @@ def experiment_cells(config: ExperimentConfig) -> list[Cell]:
     return [Cell(config, config.method_list(), {})]
 
 
-def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
+def _optimizer_fields(role: str, opt: OptimizerConfig, override: dict) -> dict:
+    """``<role>_optimizer`` (the kind) plus ``<role>_<key>`` for every other overridden key."""
+    fields = {f"{role}_optimizer": opt.kind}
+    fields.update((f"{role}_{key}", value) for key, value in override.items() if key != "kind")
+    return fields
+
+
+def _cell_rows(
+    cell: Cell, ctx: RunContext, workspace: Workspace, expert_reports: dict
+) -> list[dict]:
     """pool -> size check -> gradient_stage -> run_selection -> score_selection -> rows.
 
-    ``expert`` skips selection and scores the hidden training set itself.
+    ``expert`` skips selection and scores the hidden training set itself. Its
+    report depends only on the victim, the retrain optimizer, seq_len and
+    ot_max_points, so it is scored once per key in ``expert_reports`` and
+    shared by the cells of a seed job.
     """
     config = cell.config
     leak_fraction = cell.fields.get("leak_fraction")
@@ -743,7 +765,16 @@ def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
         if config.experiment == "metric_ablation":
             rows.extend(_replace_trial_rows(config, ctx, selected))
             continue
-        report = score_selection(config, ctx, selected, ctx.train_docs)
+        if method == "expert":
+            key = (
+                ctx.victim_key, _digest(config.retrain_opt.to_dict()),
+                config.seq_len, config.ot_max_points,
+            )
+            if key not in expert_reports:
+                expert_reports[key] = score_selection(config, ctx, selected, ctx.train_docs)
+            report = expert_reports[key]
+        else:
+            report = score_selection(config, ctx, selected, ctx.train_docs)
         row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
         if leak_fraction is not None:
             row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())
@@ -797,11 +828,12 @@ def _seed_job(
     rows: list[tuple[int, dict]] = []
     checksums: dict = {}
     errors: list[str] = []
+    expert_reports: dict = {}
     for index, cell in enumerate(experiment_cells(config)):
         label = cell.label(run_seed)
         try:
             ctx = prepare_run(cell.config, run_seed, workspace)
-            cell_rows = _cell_rows(cell, ctx, workspace)
+            cell_rows = _cell_rows(cell, ctx, workspace, expert_reports)
         except Exception as exc:
             logger.exception("%s failed", label)
             errors.append(f"{label}: {exc}")

@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
 from .corpus import DocumentSet, Vocab, encode_documents, split_tokens
-from .model import EvalMetrics, ModelParams, OptimizerConfig, evaluate, train
+from .model import EvalMetrics, ModelParams, OptimizerConfig, _unpad, evaluate, train
 
 EXACT_COST_LIMIT = 4_000_000
 # auto mode keeps the (slower) unequal-size LP for small instances only
@@ -94,9 +94,10 @@ def embed(
     batch = encode_documents(docs, vocab, seq_len)
     if np.any(batch.valid_len < 1):
         raise ValueError("cannot embed an all-padding document")
+    ids = _unpad(batch.ids, batch.valid_len)
     table = base.embedding.astype(np.float64)
-    emb = table[batch.ids.astype(np.int64)]
-    mask = np.arange(batch.seq_len)[None, :] < batch.valid_len[:, None]
+    emb = table[ids.astype(np.int64)]
+    mask = np.arange(ids.shape[1])[None, :] < batch.valid_len[:, None]
     pooled = (emb * mask[:, :, None]).sum(axis=1) / batch.valid_len[:, None]
     norms = np.linalg.norm(pooled, axis=1, keepdims=True)
     if np.any(norms < 1e-12):

@@ -5,6 +5,10 @@ optional tanh hidden layer, and a linear softmax head. Two task heads are
 supported: a C-way classifier (one label per document) and a next-token
 predictor (per-position V-way softmax over a causal mean-pooled context).
 Everything is plain numpy; gradients are analytic.
+
+Batched kernels run only up to the longest valid column of their batch
+(``_unpad``): the padding past it would be computed and then zeroed by the
+mask, so cutting it changes no value.
 """
 
 from __future__ import annotations
@@ -258,12 +262,18 @@ def _scatter_add_rows(dest: np.ndarray, ids: np.ndarray, contrib: np.ndarray) ->
     dest[sorted_ids[boundaries]] += sums
 
 
+def _unpad(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """ids cut to the longest valid length; the columns past it hold only padding."""
+    return ids[:, : lens.max(initial=0)]
+
+
 def _class_activations(
     params: ModelParams, ids: np.ndarray, lens: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classification forward: (pooled, post-hidden z, log-probs)."""
     if np.any(lens < 1):
         raise ValueError("every document must have at least 1 token")
+    ids = _unpad(ids, lens)
     emb = params.embedding[ids]
     mask = np.arange(ids.shape[1])[None, :] < lens[:, None]
     pooled = (emb * mask[:, :, None]).sum(axis=1) / lens[:, None]
@@ -354,6 +364,7 @@ def _per_example_losses(
     if params.config.task == TASK_CLASSIFICATION:
         _, _, logp = _class_activations(params, ids, lens)
         return -logp[np.arange(len(lens)), labels]
+    ids = _unpad(ids, lens)
     _, _, logp, pos_mask = _lm_activations(params, ids, lens)
     targets = ids[:, 1:]
     nll = -np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
@@ -396,6 +407,7 @@ def batch_loss_and_grads(
         grads["embedding"] = d_emb
         return loss_val, grads
 
+    ids = _unpad(ids, lens)
     context, z, logp, pos_mask = _lm_activations(params, ids, lens)
     probs = np.exp(logp)
     targets = ids[:, 1:]
@@ -411,12 +423,13 @@ def batch_loss_and_grads(
     )
     weight = (pos_mask / (denom[:, None] * n)).astype(dtype)
     err *= weight[:, :, None]
-    grads["head_w"] = np.einsum("btv,bth->vh", err, z)
+    h = cfg.embed_dim
+    grads["head_w"] = err.reshape(-1, cfg.vocab_size).T @ z.reshape(-1, h)
     grads["head_b"] = err.sum(axis=(0, 1))
     dz = err @ params.head_w
     if cfg.hidden_layer:
         da = dz * (1.0 - z * z)
-        grads["hidden_w"] = np.einsum("bth,btg->hg", da, context)
+        grads["hidden_w"] = da.reshape(-1, h).T @ context.reshape(-1, h)
         grads["hidden_b"] = da.sum(axis=(0, 1))
         dcontext = da @ params.hidden_w
     else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradselect.corpus import Document, DocumentSet, build_vocab
+from gradselect.corpus import PAD_ID, Document, DocumentSet, build_vocab
 from gradselect.model import ModelConfig, OptimizerConfig, init_params, train
 from gradselect.toycorpus import make_classification_corpus
 
@@ -34,3 +34,40 @@ def docs_from_texts(texts, labels=None):
 @pytest.fixture
 def make_docs():
     return docs_from_texts
+
+
+def padded(docs, width):
+    """Token lists as one (n, width) id matrix filled with PAD_ID."""
+    ids = np.full((len(docs), width), PAD_ID, dtype=np.int32)
+    for i, doc in enumerate(docs):
+        ids[i, : len(doc)] = doc
+    return ids
+
+
+def padding_case(task, hidden, lens, seed):
+    """Params, documents, valid lengths and labels for a padding-invariance check."""
+    cfg = ModelConfig(vocab_size=20, embed_dim=5, num_classes=3, hidden_layer=hidden, task=task)
+    params = init_params(cfg, seed)
+    rng = np.random.default_rng(seed)
+    lens = np.array([max(n, 2) if task == "next_token" else n for n in lens])
+    docs = [rng.integers(1, 20, n) for n in lens]
+    labels = rng.integers(0, 3, len(lens)) if task == "classification" else None
+    return params, docs, lens, labels
+
+
+def reference_losses(params, docs, labels):
+    """Per-document loss in float64, one document and one position at a time."""
+    p = params.astype(np.float64)
+
+    def log_probs(tokens):
+        z = p.embedding[tokens].mean(axis=0)
+        if p.config.hidden_layer:
+            z = np.tanh(p.hidden_w @ z + p.hidden_b)
+        logits = p.head_w @ z + p.head_b
+        return logits - np.logaddexp.reduce(logits)
+
+    if labels is not None:
+        return np.array([-log_probs(doc)[y] for doc, y in zip(docs, labels)])
+    return np.array(
+        [np.mean([-log_probs(doc[: t + 1])[doc[t + 1]] for t in range(len(doc) - 1)]) for doc in docs]
+    )

@@ -8,10 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import pearsonr
 
-from gradselect.corpus import TokenBatch, TokenSeq
+from conftest import padded, padding_case
+from gradselect import gradstore
+from gradselect.corpus import (
+    Document,
+    DocumentSet,
+    TokenBatch,
+    TokenSeq,
+    build_vocab,
+    encode_documents,
+)
 from gradselect.gradstore import (
     GradientStore,
     Projection,
+    _last_layer_grad_batch,
     build_store,
     direction,
     last_layer_grad,
@@ -19,7 +29,7 @@ from gradselect.gradstore import (
     scan_scores,
     write_store,
 )
-from gradselect.model import ModelConfig, batch_mean_loss, init_params
+from gradselect.model import TASKS, ModelConfig, batch_mean_loss, init_params
 from gradselect.selector import synth_checkpoints
 
 
@@ -92,6 +102,54 @@ class TestLastLayerGrad:
             target[off] = old
             fd = (up - down) / 2e-3
             assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8) < 1e-4
+
+
+class TestPaddingInvariance:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        task=st.sampled_from(TASKS),
+        hidden=st.booleans(),
+        lens=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        extra=st.integers(1, 40),
+        seed=st.integers(0, 1000),
+    )
+    def test_extra_padding_changes_no_gradient_row(self, task, hidden, lens, extra, seed):
+        params, docs, lens, labels = padding_case(task, hidden, lens, seed)
+        narrow = _last_layer_grad_batch(params, padded(docs, lens.max()), lens, labels)
+        wide = _last_layer_grad_batch(params, padded(docs, lens.max() + extra), lens, labels)
+        np.testing.assert_allclose(wide, narrow, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_empty_document_still_rejected(self, task):
+        params, docs, _, labels = padding_case(task, False, [3, 4], 0)
+        message = "at least 1 token" if task == "classification" else "at least 2 tokens"
+        for bad in ([0, 4], [0, 0]):
+            with pytest.raises(ValueError, match=message):
+                _last_layer_grad_batch(params, padded(docs, 8), np.array(bad), labels)
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_store_bytes_do_not_depend_on_seq_len(self, tmp_path, task, hidden):
+        # Documents of 1..12 tokens; both widths hold every document whole.
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(30)]
+        docs = DocumentSet(
+            Document(i, " ".join(rng.choice(words, int(rng.integers(2, 13)))), int(i % 3))
+            for i in range(40)
+        )
+        vocab = build_vocab(docs, 64, 0)
+        cfg = ModelConfig(vocab.size, 6, num_classes=3, hidden_layer=hidden, task=task)
+        theta0, theta_f = init_params(cfg, 0), init_params(cfg, 1)
+        checkpoints = synth_checkpoints(theta0, theta_f, 2)
+        labels = docs.labels() if task == "classification" else None
+        proj = Projection(cfg.last_layer_dim, 24, seed=5)
+        paths = []
+        for seq_len in (12, 64):
+            batch = encode_documents(docs, vocab, seq_len)
+            assert batch.valid_len.max() == 12
+            paths.append(tmp_path / f"s{seq_len}.selg")
+            build_store(checkpoints, batch, labels, theta_f, proj, paths[-1], chunk_rows=16)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestProjection:
@@ -299,6 +357,22 @@ class TestBuildStore:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="SELG"):
             GradientStore(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        schedule, batch, labels, theta_f, proj = self._setup(n=600)
+        calls = []
+
+        def failing_project(grads, p):
+            calls.append(len(grads))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return project(grads, p)
+
+        monkeypatch.setattr(gradstore, "project", failing_project)
+        path = tmp_path / "s.selg"
+        with pytest.raises(OSError, match="disk full"):
+            build_store(schedule, batch, labels, theta_f, proj, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_labels_required_for_classification(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup()

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gradselect import harness
 from gradselect.cli import main as cli_main
 from gradselect.corpus import save_jsonl
 from gradselect.harness import (
@@ -168,6 +169,21 @@ class TestPipeline:
         assert (out / "report.csv").exists()
         loaded = ReportBundle.from_json(out / "report.json")
         assert loaded.rows == bundle.rows
+
+    def test_truncated_cached_store_is_rebuilt(self, tmp_path):
+        config = base_config(tmp_path, methods=["select", "random"], seeds=[0])
+        first = run_pipeline(config)
+        cache = Workspace(config.out_dir).cache_dir
+        (store,) = cache.glob("store-*.selg")
+        intact = store.read_bytes()
+        store.write_bytes(intact[: len(intact) // 2])
+        for sel in cache.glob("sel-*.json"):
+            sel.unlink()
+        second = run_pipeline(config)
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+        assert store.read_bytes() == intact
+        assert not list(cache.glob("*.tmp"))
 
     @pytest.mark.parametrize("kind", ["pipeline", "scaling"])
     def test_parallel_matches_serial(self, tmp_path, kind):
@@ -340,6 +356,64 @@ class TestExperiments:
         bundle = run_experiment(config)
         assert len(bundle.rows) == 2 * 1 * 2  # victims x retrains x methods
         assert {r["victim_optimizer"] for r in bundle.rows} == {"sgd", "adam"}
+
+    def test_optimizer_settings_of_one_kind_stay_apart(self, tmp_path):
+        config = base_config(
+            tmp_path,
+            experiment="optimizer",
+            seeds=[0],
+            methods=["select"],
+            params={
+                "victim_optimizers": [
+                    {"kind": "sgd", "learning_rate": 0.5},
+                    {"kind": "sgd", "learning_rate": 0.05},
+                ],
+                "retrain_optimizers": [{"kind": "adam"}],
+            },
+        )
+        bundle = run_experiment(config)
+        assert not bundle.provenance["errors"]
+        assert [r["victim_learning_rate"] for r in bundle.rows] == [0.5, 0.05]
+        assert [a["victim_learning_rate"] for a in bundle.aggregates] == [0.5, 0.05]
+        assert all(a["num_seeds"] == 1 for a in bundle.aggregates)
+        assert sorted(bundle.provenance["checkpoint_checksums"]) == [
+            "victim_optimizer=sgd/victim_learning_rate=0.05/retrain_optimizer=adam/seed=0",
+            "victim_optimizer=sgd/victim_learning_rate=0.5/retrain_optimizer=adam/seed=0",
+        ]
+
+    def test_kind_only_optimizer_overrides_keep_their_fields(self, tmp_path):
+        config = base_config(
+            tmp_path,
+            experiment="optimizer",
+            params={"victim_optimizers": [{"kind": "sgd"}], "retrain_optimizers": [{"kind": "adam"}]},
+        )
+        (cell,) = experiment_cells(config)
+        assert cell.fields == {"victim_optimizer": "sgd", "retrain_optimizer": "adam"}
+
+    def test_expert_is_scored_once_per_seed(self, tmp_path, monkeypatch):
+        config = base_config(
+            tmp_path,
+            experiment="scaling",
+            methods=["expert"],
+            seeds=[0],
+            params={"m_list": [5, 10, 20]},
+        )
+        single = run_experiment(
+            base_config(tmp_path, methods=["expert"], seeds=[0], selection_size=5)
+        ).rows[0]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return retrain_and_eval(*args, **kwargs)
+
+        retrain_and_eval = harness.retrain_and_eval
+        monkeypatch.setattr(harness, "retrain_and_eval", counting)
+        bundle = run_experiment(config)
+        assert len(calls) == 1
+        assert [r["M"] for r in bundle.rows] == [5, 10, 20]
+        for row in bundle.rows:
+            assert {**row, "experiment": "pipeline", "M": single["M"]} == single
 
     def test_metric_ablation_saturates(self, tmp_path):
         config = base_config(

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import padded, padding_case, reference_losses
 from gradselect.corpus import Document, DocumentSet, TokenSeq, build_vocab
 from gradselect.model import (
+    TASKS,
     EvalMetrics,
     ModelConfig,
     OptimizerConfig,
@@ -17,6 +21,7 @@ from gradselect.model import (
     optimizer_step,
     save_checkpoint,
     train,
+    _per_example_losses,
 )
 
 
@@ -151,6 +156,49 @@ class TestGradients:
                 fd = (up - down) / 2e-3
                 analytic = grads[name].ravel()[idx]
                 assert abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8) < 1e-4
+
+
+class TestPaddingInvariance:
+    """Losses and gradients see the valid tokens only, not the batch width."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        task=st.sampled_from(TASKS),
+        hidden=st.booleans(),
+        lens=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        extra=st.integers(1, 40),
+        seed=st.integers(0, 1000),
+    )
+    def test_extra_padding_changes_no_loss_or_gradient(self, task, hidden, lens, extra, seed):
+        params, docs, lens, labels = padding_case(task, hidden, lens, seed)
+        narrow, wide = padded(docs, lens.max()), padded(docs, lens.max() + extra)
+        loss_a, grads_a = batch_loss_and_grads(params, narrow, lens, labels)
+        loss_b, grads_b = batch_loss_and_grads(params, wide, lens, labels)
+        assert loss_b == pytest.approx(loss_a, rel=1e-6)
+        assert grads_a.keys() == grads_b.keys() == params.blocks().keys()
+        for name in grads_a:
+            np.testing.assert_allclose(grads_b[name], grads_a[name], rtol=1e-5, atol=1e-7)
+        losses = _per_example_losses(params, wide, lens, labels)
+        np.testing.assert_allclose(losses, _per_example_losses(params, narrow, lens, labels), rtol=1e-6)
+        np.testing.assert_allclose(losses, reference_losses(params, docs, labels), rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_empty_document_still_rejected(self, task):
+        params, docs, _, labels = padding_case(task, True, [3, 4], 0)
+        message = "at least 1 token" if task == "classification" else "at least 2 tokens"
+        for bad in ([0, 4], [0, 0]):
+            bad = np.array(bad)
+            with pytest.raises(ValueError, match=message):
+                batch_loss_and_grads(params, padded(docs, 8), bad, labels)
+            with pytest.raises(ValueError, match=message):
+                _per_example_losses(params, padded(docs, 8), bad, labels)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_empty_batch_gives_no_losses(self, task):
+        params, _, _, _ = padding_case(task, False, [3], 0)
+        labels = np.zeros(0, dtype=np.int64) if task == "classification" else None
+        out = _per_example_losses(params, np.zeros((0, 8), np.int32), np.zeros(0, np.int32), labels)
+        assert out.shape == (0,)
 
 
 class TestOptimizerStep:
