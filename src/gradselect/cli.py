@@ -1,8 +1,13 @@
 """Command-line entry points.
 
-Stage commands (train-victim, autolabel, build-store, select, retrain,
-metrics) share one config and output directory and may be run in sequence;
-cached artifacts make each stage reuse the previous one's work. The
+The stage commands (train-victim, autolabel, build-store, select, retrain,
+metrics) are the steps of one chain on the config's first seed: prepare_run
+(split, vocabulary, victim), build_candidate_pool, autolabel, gradient_stage
+(store), run_selection, then retraining or scoring the selection. One
+function, ``cmd_stage``, runs the chain up to the named stage and writes that
+stage's artifacts under the config's out_dir. Run in sequence, each command
+re-runs the prefix before it, which the content-addressed cache turns into
+reads of the victim, store and selections that earlier commands wrote. The
 experiment command runs a whole grid and emits report.json / report.csv /
 figures.
 """
@@ -16,16 +21,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, toycorpus
 from .corpus import save_jsonl
 from .harness import ExperimentConfig, Workspace
-from .metrics import MetricsReport
 from .model import evaluate, save_checkpoint, train
 from .selector import write_selection
 
 GEN_KINDS = ("classification", "pool", "lm", "lm_pool")
+# The stage commands, in chain order.
+STAGE_COMMANDS = ("train-victim", "autolabel", "build-store", "select", "retrain", "metrics")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -35,12 +39,6 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config = replace(config, seeds=(args.seed, *config.seeds[1:]))
     return config
-
-
-def _prepare(config: ExperimentConfig):
-    workspace = Workspace(config.out_dir)
-    ctx = harness.prepare_run(config, config.seeds[0], workspace)
-    return workspace, ctx
 
 
 def cmd_gen_corpus(args) -> int:
@@ -76,132 +74,77 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def cmd_train_victim(args) -> int:
-    config = _load_config(args)
-    workspace, ctx = _prepare(config)
-    out = Path(config.out_dir)
-    (out / "splits").mkdir(parents=True, exist_ok=True)
-    (out / "checkpoints").mkdir(exist_ok=True)
-    ctx.vocab.to_json(out / "vocab.json")
-    save_jsonl(ctx.train_docs, out / "splits" / "train.jsonl")
-    save_jsonl(ctx.validation_docs, out / "splits" / "validation.jsonl")
-    save_jsonl(ctx.test_docs, out / "splits" / "test.jsonl")
-    save_jsonl(ctx.seed_split, out / "splits" / "seed_split.jsonl")
-    meta = {
-        "optimizer": config.victim_opt.kind,
-        "seed": config.victim_opt.seed,
-        "epochs": config.victim_opt.epochs,
-    }
-    save_checkpoint(ctx.theta0, out / "checkpoints" / "theta0.ckpt", meta)
-    save_checkpoint(ctx.theta_f, out / "checkpoints" / "thetaf.ckpt", meta)
-    metrics = evaluate(ctx.theta_f, ctx.test_docs, ctx.vocab, config.seq_len)
-    print(f"victim trained: {json.dumps(metrics.to_dict())}")
-    return 0
-
-
-def cmd_autolabel(args) -> int:
-    config = _load_config(args)
-    workspace, ctx = _prepare(config)
-    pool = harness.build_candidate_pool(config, ctx)
-    from .corpus import encode_documents
-    from .selector import autolabel
-
-    batch = encode_documents(pool, ctx.vocab, config.seq_len)
-    labels = autolabel(batch, ctx.theta_f)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if labels is None:
-        save_jsonl(pool, out / "autolabeled.jsonl")
-        print(f"next-token task: pool of {len(pool)} passes through unlabeled")
-    else:
-        save_jsonl(pool.with_labels(labels), out / "autolabeled.jsonl")
-        print(f"autolabeled {len(pool)} documents -> {out / 'autolabeled.jsonl'}")
-    return 0
-
-
-def cmd_build_store(args) -> int:
-    config = _load_config(args)
-    workspace, ctx = _prepare(config)
-    pool = harness.build_candidate_pool(config, ctx)
-    artifacts = harness.gradient_stage(config, ctx, pool, workspace)
-    target = Path(config.out_dir) / "store.selg"
-    shutil.copyfile(artifacts.store.path, target)
-    print(
-        f"store: {artifacts.store.num_examples} examples x k={artifacts.store.k} "
-        f"x P={artifacts.store.num_checkpoints} -> {target}"
-    )
-    return 0
-
-
 def _methods_arg(config: ExperimentConfig, method: str | None) -> tuple[str, ...]:
     if method in (None, "all"):
         return config.method_list()
     return (method,)
 
 
-def cmd_select(args) -> int:
+def cmd_stage(args) -> int:
+    """Run the chain up to the stage ``args.command`` names and write that stage's artifacts."""
     config = _load_config(args)
-    workspace, ctx = _prepare(config)
-    pool = harness.build_candidate_pool(config, ctx)
-    artifacts = harness.gradient_stage(config, ctx, pool, workspace)
-    out = Path(config.out_dir) / "selections"
-    out.mkdir(parents=True, exist_ok=True)
-    for method in _methods_arg(config, args.method):
-        result = harness.run_selection(config, ctx, artifacts, method, workspace)
-        write_selection(
-            result,
-            out / f"{method}.json",
-            config.num_checkpoints,
-            artifacts.store.k,
-            [ctx.run_seed],
-        )
-        docs = harness.selected_documents(pool, result, artifacts.pseudolabels)
-        save_jsonl(docs, out / f"{method}_docs.jsonl")
-        print(f"{method}: {len(result.indices)} documents selected")
-    return 0
-
-
-def cmd_retrain(args) -> int:
-    config = _load_config(args)
-    workspace, ctx = _prepare(config)
-    pool = harness.build_candidate_pool(config, ctx)
-    artifacts = harness.gradient_stage(config, ctx, pool, workspace)
+    stage = args.command
     out = Path(config.out_dir)
-    (out / "retrained").mkdir(parents=True, exist_ok=True)
-    (out / "reports").mkdir(exist_ok=True)
-    for method in _methods_arg(config, args.method):
-        result = harness.run_selection(config, ctx, artifacts, method, workspace)
-        docs = harness.selected_documents(pool, result, artifacts.pseudolabels)
-        final, _ = train(
-            ctx.theta0,
-            docs,
-            config.retrain_opt,
-            ctx.vocab,
-            config.seq_len,
-            ctx.validation_docs,
-        )
-        save_checkpoint(final, out / "retrained" / f"{method}.ckpt")
-        metrics = evaluate(final, ctx.test_docs, ctx.vocab, config.seq_len)
-        (out / "reports" / f"{method}_eval.json").write_text(
-            json.dumps(metrics.to_dict(), sort_keys=True)
-        )
-        print(f"{method}: {json.dumps(metrics.to_dict())}")
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    config = _load_config(args)
-    workspace, ctx = _prepare(config)
+    workspace = Workspace(config.out_dir)
+    ctx = harness.prepare_run(config, config.seeds[0], workspace)
+    if stage == "train-victim":
+        (out / "splits").mkdir(exist_ok=True)
+        (out / "checkpoints").mkdir(exist_ok=True)
+        ctx.vocab.to_json(out / "vocab.json")
+        save_jsonl(ctx.train_docs, out / "splits" / "train.jsonl")
+        save_jsonl(ctx.validation_docs, out / "splits" / "validation.jsonl")
+        save_jsonl(ctx.test_docs, out / "splits" / "test.jsonl")
+        save_jsonl(ctx.seed_split, out / "splits" / "seed_split.jsonl")
+        for name in ("theta0", "thetaf"):
+            cached = workspace.victim_checkpoint(ctx.victim_key, name)
+            for suffix in ("", ".meta.json"):
+                shutil.copyfile(f"{cached}{suffix}", out / "checkpoints" / f"{name}.ckpt{suffix}")
+        metrics = evaluate(ctx.theta_f, ctx.test_docs, ctx.vocab, config.seq_len)
+        print(f"victim trained: {json.dumps(metrics.to_dict())}")
+        return 0
     pool = harness.build_candidate_pool(config, ctx)
+    if stage == "autolabel":
+        _, labels = harness.autolabel_pool(config, ctx, pool)
+        if labels is None:
+            save_jsonl(pool, out / "autolabeled.jsonl")
+            print(f"next-token task: pool of {len(pool)} passes through unlabeled")
+        else:
+            save_jsonl(pool.with_labels(labels), out / "autolabeled.jsonl")
+            print(f"autolabeled {len(pool)} documents -> {out / 'autolabeled.jsonl'}")
+        return 0
     artifacts = harness.gradient_stage(config, ctx, pool, workspace)
-    out = Path(config.out_dir) / "reports"
-    out.mkdir(parents=True, exist_ok=True)
+    store = artifacts.store
+    if stage == "build-store":
+        shutil.copyfile(store.path, out / "store.selg")
+        print(
+            f"store: {store.num_examples} examples x k={store.k} "
+            f"x P={store.num_checkpoints} -> {out / 'store.selg'}"
+        )
+        return 0
+    subdirs = {"select": ["selections"], "retrain": ["retrained", "reports"], "metrics": ["reports"]}
+    for sub in subdirs[stage]:
+        (out / sub).mkdir(exist_ok=True)
     for method in _methods_arg(config, args.method):
         result = harness.run_selection(config, ctx, artifacts, method, workspace)
         docs = harness.selected_documents(pool, result, artifacts.pseudolabels)
-        report = harness.score_selection(config, ctx, docs, ctx.train_docs)
-        (out / f"{method}.json").write_text(json.dumps(report.to_dict(), sort_keys=True))
-        print(f"{method}: {json.dumps(report.to_dict())}")
+        if stage == "select":
+            path = out / "selections" / f"{method}.json"
+            write_selection(result, path, config.num_checkpoints, store.k, [ctx.run_seed])
+            save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
+            print(f"{method}: {len(result.indices)} documents selected")
+        elif stage == "retrain":
+            final, _ = train(
+                ctx.theta0, docs, config.retrain_opt, ctx.vocab, config.seq_len, ctx.validation_docs
+            )
+            save_checkpoint(final, out / "retrained" / f"{method}.ckpt")
+            metrics = evaluate(final, ctx.test_docs, ctx.vocab, config.seq_len)
+            report = json.dumps(metrics.to_dict(), sort_keys=True)
+            (out / "reports" / f"{method}_eval.json").write_text(report)
+            print(f"{method}: {json.dumps(metrics.to_dict())}")
+        else:
+            report = harness.score_selection(config, ctx, docs, ctx.train_docs).to_dict()
+            (out / "reports" / f"{method}.json").write_text(json.dumps(report, sort_keys=True))
+            print(f"{method}: {json.dumps(report)}")
     return 0
 
 
@@ -246,17 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_method:
             p.add_argument("--method", default="all")
 
-    for name, fn, with_method in (
-        ("train-victim", cmd_train_victim, False),
-        ("autolabel", cmd_autolabel, False),
-        ("build-store", cmd_build_store, False),
-        ("select", cmd_select, True),
-        ("retrain", cmd_retrain, True),
-        ("metrics", cmd_metrics, True),
-    ):
+    for name in STAGE_COMMANDS:
         p = sub.add_parser(name)
-        add_common(p, with_method)
-        p.set_defaults(fn=fn)
+        add_common(p, with_method=name in ("select", "retrain", "metrics"))
+        p.set_defaults(fn=cmd_stage)
 
     exp = sub.add_parser("experiment", help="run a full experiment grid")
     exp.add_argument("kind", nargs="?", default=None, choices=(None, *harness.EXPERIMENT_KINDS))

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -215,6 +217,23 @@ def load_jsonl(path: str | Path) -> DocumentSet:
     return DocumentSet(docs)
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary file handle on ``<path>.tmp``, renamed onto ``path`` when the block ends.
+
+    On any error the temporary file is removed and ``path`` is left as it was,
+    so a reader never finds a partly written file there.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_jsonl(
     docs: DocumentSet, path: str | Path, leak_mask: np.ndarray | None = None
 ) -> None:
@@ -231,11 +250,10 @@ def save_jsonl(
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def build_vocab(docs: DocumentSet, max_size: int, seed: int = 0) -> Vocab:
+def build_vocab(docs: DocumentSet, max_size: int) -> Vocab:
     """Keep the top (max_size - 2) tokens by frequency, ties broken lexically.
 
-    The seed parameter is accepted for interface stability; construction is
-    fully deterministic and order-independent without it.
+    Construction is deterministic and independent of document order.
     """
     if max_size < NUM_RESERVED + 1:
         raise ValueError(f"max_size must be at least {NUM_RESERVED + 1}")

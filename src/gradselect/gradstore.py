@@ -1,4 +1,4 @@
-"""Projected per-example last-layer gradients, stored chunked on disk.
+"""Projected per-example last-layer gradients, stored on disk.
 
 The last layer of the victim model (head weight + bias) has dimension
 n = D*h + D, which is too large to keep per example once pools reach web
@@ -10,8 +10,9 @@ row can be regenerated exactly.
 Store layout (little-endian): magic "SELG", u32 version, u32 header length,
 JSON header, then one contiguous (num_examples x k) float32 block per
 checkpoint, then two float32 aux blocks of length num_examples (loss under
-the final model, pseudolabel; -1 where no label applies). chunk_rows is a
-streaming hint only and never affects row values.
+the final model, pseudolabel; -1 where no label applies). Readers stream a
+block in fixed slices of ``_READ_BLOCK_ROWS`` rows. Headers written with a
+``chunk_rows`` field still open; the field is ignored.
 
 The JSON header is padded with trailing spaces so that the data starts at a
 multiple of 64 bytes. The memory map itself starts on a page, so every
@@ -24,7 +25,6 @@ open.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import TokenBatch, TokenSeq
+from .corpus import TokenBatch, TokenSeq, atomic_write
 from .model import (
     TASK_CLASSIFICATION,
     ModelParams,
@@ -46,10 +46,11 @@ STORE_MAGIC = b"SELG"
 STORE_VERSION = 1
 DEFAULT_PROJECTION_DIM = 4096
 
-# Per-example gradient rows are computed in fixed-size slabs so that values
-# are bit-identical no matter how the store is chunked on disk.
+# Rows per slab of per-example gradients computed at once.
 _COMPUTE_BATCH = 256
 _PROJECT_BLOCK_ROWS = 1024
+# Rows per slice that GradientStore.iter_blocks yields.
+_READ_BLOCK_ROWS = 1024
 # Byte alignment of the data section (the header is space-padded up to it).
 _DATA_ALIGN = 64
 
@@ -214,7 +215,6 @@ class GradientStore:
         self.num_examples = int(self.header["num_examples"])
         self.k = int(self.header["k"])
         self.num_checkpoints = int(self.header["P"])
-        self.chunk_rows = int(self.header["chunk_rows"])
         self.projection = Projection.from_dict(self.header["projection"])
         self.fingerprints = list(self.header["checkpoint_fingerprints"])
         total = self.num_checkpoints * self.num_examples * self.k + 2 * self.num_examples
@@ -249,14 +249,11 @@ class GradientStore:
     def row(self, j: int, i: int) -> np.ndarray:
         return np.asarray(self.block(j)[i], dtype=np.float64)
 
-    def iter_blocks(
-        self, j: int, rows: int | None = None
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Stream (start, stop, rows) slices of chunk_rows unless overridden."""
-        step = rows or self.chunk_rows
+    def iter_blocks(self, j: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Stream (start, stop, rows) slices of ``_READ_BLOCK_ROWS`` rows."""
         blk = self.block(j)
-        for start in range(0, self.num_examples, step):
-            stop = min(start + step, self.num_examples)
+        for start in range(0, self.num_examples, _READ_BLOCK_ROWS):
+            stop = min(start + _READ_BLOCK_ROWS, self.num_examples)
             yield start, stop, blk[start:stop]
 
 
@@ -272,7 +269,6 @@ def _write_header(
     num_examples: int,
     proj: Projection,
     num_checkpoints: int,
-    chunk_rows: int,
     fingerprints: Sequence[str],
 ) -> None:
     header = {
@@ -280,7 +276,6 @@ def _write_header(
         "k": proj.output_dim,
         "P": num_checkpoints,
         "projection": proj.to_dict(),
-        "chunk_rows": chunk_rows,
         "checkpoint_fingerprints": list(fingerprints),
         "aux": ["final_loss", "pseudolabel"],
         "dtype": "float32",
@@ -298,7 +293,6 @@ def write_store(
     final_losses: np.ndarray,
     pseudolabels: np.ndarray | None,
     proj: Projection,
-    chunk_rows: int = 1024,
     fingerprints: Sequence[str] | None = None,
 ) -> GradientStore:
     """Write dense in-memory blocks as a store file (used for small pools/tests)."""
@@ -313,10 +307,8 @@ def write_store(
         if pseudolabels is None
         else np.asarray(pseudolabels, dtype=np.float32)
     )
-    with open(path, "wb") as fh:
-        _write_header(
-            fh, n, proj, len(blocks), chunk_rows, fingerprints or [""] * len(blocks)
-        )
+    with atomic_write(path) as fh:
+        _write_header(fh, n, proj, len(blocks), fingerprints or [""] * len(blocks))
         for b in blocks:
             fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(final_losses, dtype="<f4").tobytes())
@@ -331,15 +323,14 @@ def build_store(
     theta_f: ModelParams,
     proj: Projection,
     path: str | Path,
-    chunk_rows: int = 1024,
 ) -> GradientStore:
     """Compute, project and persist per-example head gradients per checkpoint.
 
     Gradients are taken against pseudolabels (next-token uses the sequence
     itself); the loss of each example under theta_f is cached alongside so
     likelihood baselines need no second pass. The file is written under a
-    temporary name and renamed into place, so a crash mid-write never leaves
-    a truncated store at ``path``.
+    temporary name and renamed into place (``atomic_write``), so a crash
+    mid-write never leaves a truncated store at ``path``.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
@@ -370,32 +361,24 @@ def build_store(
         ).astype(np.float32)
 
     fingerprints = [c.fingerprint() for c in checkpoints]
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            _write_header(fh, n, proj, len(checkpoints), chunk_rows, fingerprints)
-            for ckpt in checkpoints:
-                for s0 in range(0, n, _COMPUTE_BATCH):
-                    s1 = min(s0 + _COMPUTE_BATCH, n)
-                    grads = _last_layer_grad_batch(
-                        ckpt,
-                        ids[s0:s1],
-                        lens[s0:s1],
-                        None if labels is None else labels[s0:s1],
-                    )
-                    rows = project(grads, proj).astype(np.float32)
-                    fh.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-            fh.write(losses.astype("<f4").tobytes())
-            if labels is None:
-                fh.write(np.full(n, -1.0, dtype="<f4").tobytes())
-            else:
-                fh.write(labels.astype("<f4").tobytes())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(f"store write failed near example chunk: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        _write_header(fh, n, proj, len(checkpoints), fingerprints)
+        for ckpt in checkpoints:
+            for s0 in range(0, n, _COMPUTE_BATCH):
+                s1 = min(s0 + _COMPUTE_BATCH, n)
+                grads = _last_layer_grad_batch(
+                    ckpt,
+                    ids[s0:s1],
+                    lens[s0:s1],
+                    None if labels is None else labels[s0:s1],
+                )
+                rows = project(grads, proj).astype(np.float32)
+                fh.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+        fh.write(losses.astype("<f4").tobytes())
+        if labels is None:
+            fh.write(np.full(n, -1.0, dtype="<f4").tobytes())
+        else:
+            fh.write(labels.astype("<f4").tobytes())
     return GradientStore(path)
 
 

@@ -26,7 +26,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -36,6 +36,7 @@ from . import __version__
 from .corpus import (
     Document,
     DocumentSet,
+    TokenBatch,
     Vocab,
     build_vocab,
     encode_documents,
@@ -53,6 +54,7 @@ from .model import (
     OptimizerConfig,
     init_params,
     load_checkpoint,
+    reject_unknown_keys,
     save_checkpoint,
     train,
 )
@@ -100,16 +102,36 @@ class StageError(RuntimeError):
         self.original = original
 
 
+# The keys of ExperimentConfig.model: every ModelConfig field but the vocabulary size.
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
+_INT_FIELDS = (
+    "selection_size",
+    "num_checkpoints",
+    "projection_dim",
+    "batch_window",
+    "seq_len",
+    "vocab_max_size",
+    "ot_max_points",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of one experiment.
+
+    ``to_dict`` and ``from_dict`` follow the fields; ``from_dict`` rejects a
+    key that names no field. ``__post_init__`` turns JSON values into the
+    field types (lists into tuples, optimizer dicts into ``OptimizerConfig``).
+    """
+
     experiment: str
     corpus: str
-    out_dir: str
     seeds: tuple[int, ...]
-    model: dict
-    victim_opt: OptimizerConfig
-    retrain_opt: OptimizerConfig
     selection_size: int
+    out_dir: str = "runs"
+    model: dict = field(default_factory=dict)
+    victim_opt: OptimizerConfig = field(default_factory=OptimizerConfig)
+    retrain_opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed_corpus: str | None = None
     num_checkpoints: int = 1
     projection_dim: int = 4096
@@ -121,11 +143,26 @@ class ExperimentConfig:
     validation_fraction: float = 0.1
     pool_size: int | None = None
     methods: tuple[str, ...] | None = None
-    chunk_rows: int = 1024
     ot_max_points: int = 512
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("seeds", tuple(int(s) for s in self.seeds))
+        for name in _INT_FIELDS:
+            put(name, int(getattr(self, name)))
+        put("fractions", tuple(self.fractions))
+        put("validation_fraction", float(self.validation_fraction))
+        if self.methods is not None:
+            put("methods", tuple(self.methods))
+        put("model", dict(self.model))
+        put("params", dict(self.params))
+        for name in ("victim_opt", "retrain_opt"):
+            if isinstance(getattr(self, name), dict):
+                put(name, OptimizerConfig.from_dict(getattr(self, name)))
+        reject_unknown_keys(self.model, _MODEL_KEYS, "model")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.experiment!r}")
         if not self.seeds:
@@ -152,60 +189,12 @@ class ExperimentConfig:
         return ALL_METHODS
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "corpus": self.corpus,
-            "seed_corpus": self.seed_corpus,
-            "out_dir": self.out_dir,
-            "seeds": list(self.seeds),
-            "model": dict(self.model),
-            "victim_opt": self.victim_opt.to_dict(),
-            "retrain_opt": self.retrain_opt.to_dict(),
-            "selection_size": self.selection_size,
-            "num_checkpoints": self.num_checkpoints,
-            "projection_dim": self.projection_dim,
-            "scoring_rule": self.scoring_rule,
-            "batch_window": self.batch_window,
-            "seq_len": self.seq_len,
-            "vocab_max_size": self.vocab_max_size,
-            "fractions": list(self.fractions),
-            "validation_fraction": self.validation_fraction,
-            "pool_size": self.pool_size,
-            "methods": None if self.methods is None else list(self.methods),
-            "chunk_rows": self.chunk_rows,
-            "ot_max_points": self.ot_max_points,
-            "params": self.params,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict, check_paths: bool = True) -> "ExperimentConfig":
-        known = dict(data)
-        config = cls(
-            experiment=known["experiment"],
-            corpus=known["corpus"],
-            out_dir=known.get("out_dir", "runs"),
-            seeds=tuple(int(s) for s in known["seeds"]),
-            model=dict(known.get("model", {})),
-            victim_opt=OptimizerConfig.from_dict(known.get("victim_opt", {})),
-            retrain_opt=OptimizerConfig.from_dict(known.get("retrain_opt", {})),
-            selection_size=int(known["selection_size"]),
-            seed_corpus=known.get("seed_corpus"),
-            num_checkpoints=int(known.get("num_checkpoints", 1)),
-            projection_dim=int(known.get("projection_dim", 4096)),
-            scoring_rule=known.get("scoring_rule", "cosine_sum"),
-            batch_window=int(known.get("batch_window", 1000)),
-            seq_len=int(known.get("seq_len", 64)),
-            vocab_max_size=int(known.get("vocab_max_size", 8192)),
-            fractions=tuple(known.get("fractions", (0.6, 0.2, 0.2))),
-            validation_fraction=float(known.get("validation_fraction", 0.1)),
-            pool_size=known.get("pool_size"),
-            methods=None
-            if known.get("methods") is None
-            else tuple(known["methods"]),
-            chunk_rows=int(known.get("chunk_rows", 1024)),
-            ot_max_points=int(known.get("ot_max_points", 512)),
-            params=dict(known.get("params", {})),
-        )
+        reject_unknown_keys(data, (f.name for f in fields(cls)), "experiment")
+        config = cls(**data)
         if check_paths:
             config.check_paths()
         return config
@@ -351,6 +340,10 @@ class Workspace:
     def path(self, name: str) -> Path:
         return self.cache_dir / name
 
+    def victim_checkpoint(self, victim_key: str, name: str) -> Path:
+        """Cached ``theta0`` or ``thetaf`` checkpoint of one victim."""
+        return self.path(f"victim-{victim_key}.{name}.ckpt")
+
 
 def _stage(name: str, fn: Callable, *args, **kwargs):
     try:
@@ -388,7 +381,7 @@ def prepare_run(
     train_docs, validation_docs = _stage(
         "split", carve_validation, train_all, config.validation_fraction, run_seed
     )
-    vocab = _stage("vocab", build_vocab, train_docs, config.vocab_max_size, run_seed)
+    vocab = _stage("vocab", build_vocab, train_docs, config.vocab_max_size)
     model_cfg = model_config_for(config, vocab)
     victim_key = _digest(
         [
@@ -403,8 +396,8 @@ def prepare_run(
             run_seed,
         ]
     )
-    theta0_path = workspace.path(f"victim-{victim_key}.theta0.ckpt")
-    thetaf_path = workspace.path(f"victim-{victim_key}.thetaf.ckpt")
+    theta0_path = workspace.victim_checkpoint(victim_key, "theta0")
+    thetaf_path = workspace.victim_checkpoint(victim_key, "thetaf")
     if theta0_path.exists() and thetaf_path.exists():
         theta0 = load_checkpoint(theta0_path)
         theta_f = load_checkpoint(thetaf_path)
@@ -456,6 +449,14 @@ def build_candidate_pool(
     return docs.without_labels().reindexed()
 
 
+def autolabel_pool(
+    config: ExperimentConfig, ctx: RunContext, pool: DocumentSet
+) -> tuple[TokenBatch, np.ndarray | None]:
+    """The encoded pool and its labels under the final model (None for next-token)."""
+    batch = encode_documents(pool, ctx.vocab, config.seq_len)
+    return batch, _stage("autolabel", autolabel, batch, ctx.theta_f)
+
+
 @dataclass
 class GradientArtifacts:
     store: GradientStore
@@ -478,8 +479,7 @@ def gradient_stage(
     data highest.
     """
     k = config.projection_dim
-    batch = encode_documents(pool, ctx.vocab, config.seq_len)
-    pseudolabels = _stage("autolabel", autolabel, batch, ctx.theta_f)
+    batch, pseudolabels = autolabel_pool(config, ctx, pool)
     checkpoints = _stage(
         "synth-checkpoints",
         synth_checkpoints,
@@ -497,7 +497,6 @@ def gradient_stage(
             config.num_checkpoints,
             k,
             proj.seed,
-            config.chunk_rows,
             config.seq_len,
         ]
     )
@@ -521,7 +520,6 @@ def gradient_stage(
             ctx.theta_f,
             proj,
             store_path,
-            config.chunk_rows,
         )
     dirs = [-direction(ckpt, ctx.theta_f, proj) for ckpt in checkpoints]
     return GradientArtifacts(store=store, dirs=dirs, pseudolabels=pseudolabels)

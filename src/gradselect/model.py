@@ -16,13 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import DocumentSet, TokenBatch, TokenSeq, Vocab, encode_documents
+from .corpus import DocumentSet, TokenBatch, TokenSeq, Vocab, atomic_write, encode_documents
 
 CHECKPOINT_MAGIC = b"SELC"
 CHECKPOINT_VERSION = 1
@@ -199,22 +199,19 @@ class OptimizerConfig:
             raise ValueError("batch_size must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)
+        reject_unknown_keys(data, (f.name for f in fields(cls)), "optimizer")
+        return cls(**data)
+
+
+def reject_unknown_keys(data: dict, known: Iterable[str], what: str) -> None:
+    """Raise ValueError naming every key of ``data`` outside ``known``."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} config key(s): {', '.join(unknown)}")
 
 
 @dataclass
@@ -577,14 +574,16 @@ def save_checkpoint(
     ]
     header = dict(cfg.to_dict(), tensors=tensors)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    if meta is not None:
+        # Written first, so a checkpoint at ``path`` implies its meta is complete.
+        with atomic_write(str(path) + ".meta.json") as fh:
+            fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for block in params.blocks().values():
             fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
-    if meta is not None:
-        Path(str(path) + ".meta.json").write_text(json.dumps(meta, sort_keys=True))
 
 
 def _read_exact(fh, count: int, what: str = "checkpoint") -> bytes:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TokenBatch
+from .corpus import TokenBatch, atomic_write
 from .gradstore import GradientStore, scan_scores
 from .model import TASK_CLASSIFICATION, ModelParams, _class_activations
 
@@ -356,7 +356,8 @@ def write_selection(
         "indices": result.indices,
         "step_scores": result.step_scores,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
 def load_selection(path: str | Path) -> SelectionResult:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradselect import corpus
 from gradselect.corpus import PAD_ID, Document, DocumentSet, build_vocab
 from gradselect.model import ModelConfig, OptimizerConfig, init_params, train
 from gradselect.toycorpus import make_classification_corpus
@@ -10,7 +11,7 @@ from gradselect.toycorpus import make_classification_corpus
 def tiny_victim():
     """A small trained 4-class victim shared by selector/metrics tests."""
     train_docs = make_classification_corpus(800, 4, seed=5)
-    vocab = build_vocab(train_docs, 1024, 0)
+    vocab = build_vocab(train_docs, 1024)
     config = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_classes=4)
     theta0 = init_params(config, 0)
     opt = OptimizerConfig(kind="sgd", learning_rate=0.5, epochs=3, batch_size=32, seed=0)
@@ -22,6 +23,38 @@ def tiny_victim():
         "theta0": theta0,
         "theta_f": theta_f,
     }
+
+
+class _ShortFile:
+    """A binary file that takes ``limit`` bytes and then raises OSError, like a full disk."""
+
+    def __init__(self, fh, limit):
+        self._fh, self._left = fh, limit
+
+    def write(self, data):
+        if len(data) > self._left:
+            self._fh.write(data[: self._left])
+            self._left = 0
+            raise OSError(28, "No space left on device")
+        self._left -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """``disk_full(limit)``: every file ``atomic_write`` opens afterwards fails after ``limit`` bytes."""
+
+    def arm(limit):
+        short_open = lambda path, mode: _ShortFile(open(path, mode), limit)  # noqa: E731
+        monkeypatch.setattr(corpus, "open", short_open, raising=False)
+
+    return arm
 
 
 def docs_from_texts(texts, labels=None):

@@ -20,6 +20,7 @@ from gradselect.corpus import (
     encode_documents,
     save_jsonl,
 )
+from gradselect import gradstore
 from gradselect.gradstore import (
     GradientStore,
     Projection,
@@ -140,7 +141,7 @@ def test_criterion_01_gradient_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_greedy_dot_equals_topk(tmp_path):
+def test_criterion_02_greedy_dot_equals_topk(tmp_path, monkeypatch):
     start = time.time()
     rng = np.random.default_rng(22)
     for t in range(200):
@@ -150,13 +151,10 @@ def test_criterion_02_greedy_dot_equals_topk(tmp_path):
         m = int(rng.integers(1, n + 1))
         blocks = [rng.standard_normal((n, k)).astype(np.float32) for _ in range(p)]
         dirs = [rng.standard_normal(k) for _ in range(p)]
+        # Three read slices per store, so the scans cross slice boundaries.
+        monkeypatch.setattr(gradstore, "_READ_BLOCK_ROWS", max(1, n // 3))
         store = write_store(
-            tmp_path / f"i{t}.selg",
-            blocks,
-            np.zeros(n),
-            None,
-            Projection(8, k, seed=0),
-            chunk_rows=max(1, n // 3),
+            tmp_path / f"i{t}.selg", blocks, np.zeros(n), None, Projection(8, k, seed=0)
         )
         greedy = select_greedy(store, dirs, m, rule="dot")
         topk = select_baseline(store, dirs, m, "topk")
@@ -192,7 +190,7 @@ def test_criterion_03_jl_fidelity(tmp_path):
     corpus = make_classification_corpus(
         1500, num_classes, seed=42, key_lo=6, key_hi=9, len_lo=8, len_hi=10
     )
-    vocab = build_vocab(corpus, 2048, 0)
+    vocab = build_vocab(corpus, 2048)
     cfg = ModelConfig(vocab_size=vocab.size, embed_dim=embed_dim, num_classes=num_classes)
     theta0 = init_params(cfg, 0)
     opt = OptimizerConfig(kind="sgd", learning_rate=0.5, epochs=2, batch_size=32, seed=0)

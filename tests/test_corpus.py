@@ -69,57 +69,57 @@ class TestLoadJsonl:
 class TestBuildVocab:
     def test_hand_counted_frequencies(self, make_docs):
         # a:2, b:2, c:1; tie a<b broken lexicographically
-        vocab = build_vocab(make_docs(["a a b", "b c"]), 5, 0)
+        vocab = build_vocab(make_docs(["a a b", "b c"]), 5)
         assert vocab.index("a") == 2
         assert vocab.index("b") == 3
         assert vocab.index("c") == 4
         assert vocab.size == 5
 
     def test_empty_corpus(self):
-        vocab = build_vocab(DocumentSet([]), 10, 0)
+        vocab = build_vocab(DocumentSet([]), 10)
         assert vocab.size == 2
 
     def test_capacity_bound(self, make_docs):
         docs = make_docs([" ".join(f"w{i}" for i in range(10))])
-        vocab = build_vocab(docs, 3, 0)
+        vocab = build_vocab(docs, 3)
         assert vocab.size == 3
 
     def test_order_independent(self, make_docs):
         texts = ["red green", "green blue", "blue blue red"]
-        v1 = build_vocab(make_docs(texts), 64, 0)
-        v2 = build_vocab(make_docs(texts[::-1]), 64, 0)
+        v1 = build_vocab(make_docs(texts), 64)
+        v2 = build_vocab(make_docs(texts[::-1]), 64)
         assert v1.tokens == v2.tokens
 
     def test_unknown_maps_to_unk(self, make_docs):
-        vocab = build_vocab(make_docs(["a b"]), 10, 0)
+        vocab = build_vocab(make_docs(["a b"]), 10)
         assert vocab.index("zzz") == 1
 
 
 class TestTokenize:
     def test_direct_mapping(self, make_docs):
-        vocab = build_vocab(make_docs(["a a b"]), 10, 0)
+        vocab = build_vocab(make_docs(["a a b"]), 10)
         seq = tokenize("A b", vocab, 4)
         assert seq.ids.tolist() == [2, 3, 0, 0]
         assert seq.valid_len == 2
 
     def test_truncation(self, make_docs):
-        vocab = build_vocab(make_docs(["w"]), 10, 0)
+        vocab = build_vocab(make_docs(["w"]), 10)
         seq = tokenize(" ".join(["w"] * 100), vocab, 64)
         assert seq.valid_len == 64
         assert (seq.ids == 2).all()
 
     def test_unknown_token(self, make_docs):
-        vocab = build_vocab(make_docs(["a"]), 10, 0)
+        vocab = build_vocab(make_docs(["a"]), 10)
         seq = tokenize("a mystery", vocab, 4)
         assert seq.ids.tolist() == [2, 1, 0, 0]
 
     def test_accepts_document(self, make_docs):
-        vocab = build_vocab(make_docs(["a"]), 10, 0)
+        vocab = build_vocab(make_docs(["a"]), 10)
         seq = tokenize(Document(0, "a a"), vocab, 3)
         assert seq.ids.tolist() == [2, 2, 0]
 
     def test_deterministic(self, make_docs):
-        vocab = build_vocab(make_docs(["a b c d"]), 10, 0)
+        vocab = build_vocab(make_docs(["a b c d"]), 10)
         s1 = tokenize("a c d", vocab, 5)
         s2 = tokenize("a c d", vocab, 5)
         assert np.array_equal(s1.ids, s2.ids) and s1.valid_len == s2.valid_len
@@ -214,7 +214,7 @@ class TestDocumentSet:
 
     def test_encode_documents_shape(self, make_docs):
         docs = make_docs(["a b", "c"])
-        vocab = build_vocab(docs, 16, 0)
+        vocab = build_vocab(docs, 16)
         batch = encode_documents(docs, vocab, 8)
         assert batch.ids.shape == (2, 8)
         assert batch.valid_len.tolist() == [2, 1]

@@ -1,3 +1,4 @@
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -44,12 +45,14 @@ def data_offset(path) -> int:
     return 12 + header_len
 
 
-def strip_header_padding(src, dst) -> None:
-    """Rewrite a store without the header's trailing spaces (the layout
-    written before the data was 64-byte aligned)."""
+def write_legacy_store(src, dst) -> None:
+    """Rewrite a store in the oldest layout: the header carries the retired
+    ``chunk_rows`` field and no trailing spaces, so the data is unaligned."""
     raw = Path(src).read_bytes()
     end = data_offset(src)
-    header = raw[12:end].rstrip(b" ")
+    header = json.loads(raw[12:end])
+    header["chunk_rows"] = 1024
+    header = json.dumps(header, sort_keys=True).encode()
     Path(dst).write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[end:])
 
 
@@ -137,7 +140,7 @@ class TestPaddingInvariance:
             Document(i, " ".join(rng.choice(words, int(rng.integers(2, 13)))), int(i % 3))
             for i in range(40)
         )
-        vocab = build_vocab(docs, 64, 0)
+        vocab = build_vocab(docs, 64)
         cfg = ModelConfig(vocab.size, 6, num_classes=3, hidden_layer=hidden, task=task)
         theta0, theta_f = init_params(cfg, 0), init_params(cfg, 1)
         checkpoints = synth_checkpoints(theta0, theta_f, 2)
@@ -148,7 +151,7 @@ class TestPaddingInvariance:
             batch = encode_documents(docs, vocab, seq_len)
             assert batch.valid_len.max() == 12
             paths.append(tmp_path / f"s{seq_len}.selg")
-            build_store(checkpoints, batch, labels, theta_f, proj, paths[-1], chunk_rows=16)
+            build_store(checkpoints, batch, labels, theta_f, proj, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -281,17 +284,6 @@ class TestBuildStore:
             want = project(g, proj).astype(np.float32)
             assert np.allclose(store.row(j, i), want, rtol=1e-5, atol=1e-7)
 
-    def test_chunk_size_changes_nothing(self, tmp_path):
-        schedule, batch, labels, theta_f, proj = self._setup(n=30)
-        a = build_store(
-            schedule, batch, labels, theta_f, proj, tmp_path / "a.selg", chunk_rows=4
-        )
-        b = build_store(
-            schedule, batch, labels, theta_f, proj, tmp_path / "b.selg", chunk_rows=17
-        )
-        assert np.array_equal(np.asarray(a.block(0)), np.asarray(b.block(0)))
-        assert np.array_equal(a.final_losses, b.final_losses)
-
     def test_store_correlation_with_exact_scores(self, tmp_path, tiny_victim):
         # projected scores track the exact high-dimensional scores against a
         # trained weight diff (random-diff scores would drown in sketch noise)
@@ -381,18 +373,11 @@ class TestBuildStore:
 
 
 class TestScanScores:
-    def _store(self, tmp_path, blocks, losses=None, labels=None, chunk_rows=2):
+    def _store(self, tmp_path, blocks, losses=None, labels=None):
         blocks = [np.asarray(b, dtype=np.float32) for b in blocks]
         n, k = blocks[0].shape
         losses = np.zeros(n) if losses is None else losses
-        return write_store(
-            tmp_path / "s.selg",
-            blocks,
-            losses,
-            labels,
-            Projection(8, k, seed=0),
-            chunk_rows=chunk_rows,
-        )
+        return write_store(tmp_path / "s.selg", blocks, losses, labels, Projection(8, k, seed=0))
 
     def test_dot_products(self, tmp_path):
         store = self._store(tmp_path, [[[1, 0], [0, 1]]])
@@ -403,11 +388,12 @@ class TestScanScores:
         store = self._store(tmp_path, [np.random.default_rng(0).standard_normal((5, 3))])
         assert np.abs(scan_scores(store, [np.zeros(3)])).max() == 0.0
 
-    def test_matches_dense_oracle(self, tmp_path):
+    def test_matches_dense_oracle(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gradstore, "_READ_BLOCK_ROWS", 7)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((100, 6)), rng.standard_normal((100, 6))]
         dirs = [rng.standard_normal(6), rng.standard_normal(6)]
-        store = self._store(tmp_path, blocks, chunk_rows=7)
+        store = self._store(tmp_path, blocks)
         scores = scan_scores(store, dirs)
         dense = sum(
             np.asarray(b, dtype=np.float32).astype(np.float64) @ d
@@ -445,13 +431,13 @@ class TestStoreLayout:
                 path, blocks, losses, labels, Projection(8, k), fingerprints=[fingerprint] * p
             )
             assert data_offset(path) % 64 == 0
-            strip_header_padding(path, old)
+            write_legacy_store(path, old)
             legacy = GradientStore(old)
             for j in range(p):
                 assert store.block(j).flags.aligned
                 assert np.array_equal(store.block(j), blocks[j])
                 assert np.array_equal(legacy.block(j), store.block(j))
-            assert legacy.header == store.header
+            assert legacy.header == {**store.header, "chunk_rows": 1024}
             assert np.array_equal(legacy.final_losses, store.final_losses)
             assert np.array_equal(legacy.pseudolabels, store.pseudolabels)
             assert legacy.has_labels == store.has_labels == labelled

@@ -9,6 +9,7 @@ import pytest
 from gradselect import harness
 from gradselect.cli import main as cli_main
 from gradselect.corpus import save_jsonl
+from gradselect.model import OptimizerConfig
 from gradselect.harness import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -48,7 +49,11 @@ def base_config(tmp_path, **overrides):
         "seq_len": 32,
     }
     data.update(overrides)
-    return ExperimentConfig.from_dict(data)
+    config = ExperimentConfig.from_dict(data)
+    # Every config the tests build survives the dict round trip, hash included.
+    again = ExperimentConfig.from_dict(config.to_dict())
+    assert again == config and again.config_hash() == config.config_hash()
+    return config
 
 
 class TestConfig:
@@ -94,6 +99,45 @@ class TestConfig:
         loaded = ExperimentConfig.from_json(path)
         assert loaded == config
         assert loaded.config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"projection_dimm": 512}, "projection_dimm"),
+            ({"chunk_rows": 1024}, "chunk_rows"),
+            ({"model": {"embed_dimm": 8}}, "embed_dimm"),
+            ({"victim_opt": {"kind": "sgd", "lr": 0.05}}, "lr"),
+            ({"retrain_opt": {"kind": "adam", "betas": [0.9, 0.99]}}, "betas"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, overrides, key):
+        with pytest.raises(ValueError, match=rf"unknown .*config key.*\b{key}\b"):
+            base_config(tmp_path, **overrides)
+
+    def test_unknown_optimizer_key_named(self, tmp_path):
+        with pytest.raises(ValueError, match="lr"):
+            OptimizerConfig.from_dict({"kind": "sgd", "lr": 0.05})
+        config = base_config(
+            tmp_path, experiment="optimizer", params={"victim_optimizers": [{"kind": "sgd", "lr": 0.05}]}
+        )
+        with pytest.raises(ValueError, match="lr"):
+            experiment_cells(config)
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_cell_configs_round_trip(self, tmp_path, kind):
+        pool = tmp_path / "pool.jsonl"
+        save_jsonl(make_pool_corpus(50, 4, seed=3), pool)
+        params = {
+            "m_list": [5, 10],
+            "seed_corpora": {"p": str(pool)},
+            "k_list": [16, 32],
+            "victim_optimizers": [{"kind": "sgd", "learning_rate": 0.5}, {"kind": "adamw"}],
+            "retrain_optimizers": [{"kind": "adam", "epochs": 2}],
+        }
+        for cell in experiment_cells(base_config(tmp_path, experiment=kind, params=params)):
+            again = ExperimentConfig.from_dict(cell.config.to_dict())
+            assert again == cell.config
+            assert again.config_hash() == cell.config.config_hash()
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bogus"):

@@ -61,7 +61,7 @@ class TestEmbed:
         docs = DocumentSet(
             [Document(0, "alpha beta"), Document(1, "alpha beta"), Document(2, "gamma")]
         )
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         return docs, vocab, init_params(cfg, 0)
 
@@ -77,7 +77,7 @@ class TestEmbed:
 
     def test_disjoint_docs_near_orthogonal_in_expectation(self, make_docs):
         docs = make_docs(["alpha beta gamma", "delta epsilon zeta"])
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_classes=2)
         cosines = []
         for seed in range(100):
@@ -185,7 +185,7 @@ class TestRetrainAndEval:
     def test_full_true_set_matches_expert_run(self):
         docs = make_classification_corpus(300, 4, seed=1)
         test = make_classification_corpus(200, 4, seed=2)
-        vocab = build_vocab(docs, 512, 0)
+        vocab = build_vocab(docs, 512)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_classes=4)
         theta0 = init_params(cfg, 0)
         opt = OptimizerConfig(kind="adam", learning_rate=0.02, epochs=6, batch_size=32, seed=0)
@@ -198,7 +198,7 @@ class TestRetrainAndEval:
     def test_keyword_covering_selection_beats_chance(self):
         test = make_classification_corpus(200, 4, seed=3)
         selection = make_classification_corpus(160, 4, seed=4)
-        vocab = build_vocab(selection, 512, 0)
+        vocab = build_vocab(selection, 512)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_classes=4)
         theta0 = init_params(cfg, 1)
         opt = OptimizerConfig(kind="adam", learning_rate=0.02, epochs=8, batch_size=32, seed=1)
@@ -207,7 +207,7 @@ class TestRetrainAndEval:
 
     def test_empty_selection_rejected(self):
         docs = make_classification_corpus(10, 2, seed=0)
-        vocab = build_vocab(docs, 64, 0)
+        vocab = build_vocab(docs, 64)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         opt = OptimizerConfig(kind="sgd", learning_rate=0.1, epochs=1)
         with pytest.raises(ValueError, match="empty"):

@@ -259,7 +259,7 @@ def _toy_two_class(n=120):
 class TestTrain:
     def test_separable_data_high_accuracy(self):
         docs = _toy_two_class()
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         for s in (0, 1, 2):
             theta0 = init_params(cfg, s)
@@ -270,7 +270,7 @@ class TestTrain:
 
     def test_zero_learning_rate_sgd_is_noop(self):
         docs = _toy_two_class(40)
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         theta0 = init_params(cfg, 0)
         opt = OptimizerConfig(kind="sgd", learning_rate=0.0, epochs=2, batch_size=8, seed=0)
@@ -280,7 +280,7 @@ class TestTrain:
 
     def test_trace_length_equals_epochs(self):
         docs = _toy_two_class(40)
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         opt = OptimizerConfig(kind="adam", learning_rate=0.01, epochs=4, batch_size=8, seed=0)
         _, trace = train(init_params(cfg, 0), docs, opt, vocab, 8)
@@ -288,7 +288,7 @@ class TestTrain:
 
     def test_deterministic(self):
         docs = _toy_two_class(60)
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         opt = OptimizerConfig(kind="adam", learning_rate=0.02, epochs=3, batch_size=16, seed=9)
         a, _ = train(init_params(cfg, 1), docs, opt, vocab, 8)
@@ -298,7 +298,7 @@ class TestTrain:
 
     def test_validation_picks_best_epoch(self):
         docs = _toy_two_class(60)
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         opt = OptimizerConfig(kind="adam", learning_rate=0.05, epochs=6, batch_size=16, seed=0)
         final, _ = train(init_params(cfg, 0), docs, opt, vocab, 8, validation=docs)
@@ -307,7 +307,7 @@ class TestTrain:
 
     def test_nan_loss_aborts_with_batch_index(self):
         docs = _toy_two_class(40)
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         theta0 = init_params(cfg, 0)
         theta0.embedding[:] = np.float32(3e38)
@@ -319,7 +319,7 @@ class TestTrain:
         # a -inf bias gives class 1 log-probability -inf, so any batch
         # holding a class-1 document has an infinite (not NaN) mean loss
         docs = _toy_two_class(40)
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         theta0 = init_params(cfg, 0)
         theta0.head_w[:] = 0.0
@@ -329,7 +329,7 @@ class TestTrain:
             train(theta0, docs, opt, vocab, 8)
 
     def test_empty_data_rejected(self):
-        vocab = build_vocab(_toy_two_class(4), 32, 0)
+        vocab = build_vocab(_toy_two_class(4), 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
         opt = OptimizerConfig(kind="sgd", learning_rate=0.1, epochs=1)
         with pytest.raises(ValueError, match="empty"):
@@ -339,7 +339,7 @@ class TestTrain:
 class TestEvaluate:
     def test_uniform_classifier(self):
         docs = DocumentSet(Document(i, f"w{i % 7} x", i % 4) for i in range(100))
-        vocab = build_vocab(docs, 32, 0)
+        vocab = build_vocab(docs, 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, num_classes=4)
         params = init_params(cfg, 0)
         for block in params.blocks().values():
@@ -350,7 +350,7 @@ class TestEvaluate:
 
     def test_perfect_predictor(self):
         docs = DocumentSet(Document(i, "hot" if i % 2 == 0 else "cold", i % 2) for i in range(20))
-        vocab = build_vocab(docs, 16, 0)
+        vocab = build_vocab(docs, 16)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, num_classes=2)
         params = init_params(cfg, 0)
         params.embedding[:] = 0.0
@@ -366,7 +366,7 @@ class TestEvaluate:
 
     def test_uniform_next_token_perplexity_is_vocab_size(self):
         docs = DocumentSet(Document(i, "a b c d", None) for i in range(5))
-        vocab = build_vocab(docs, 8, 0)
+        vocab = build_vocab(docs, 8)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, task="next_token")
         params = init_params(cfg, 0)
         for block in params.blocks().values():
@@ -390,6 +390,19 @@ class TestCheckpoint:
         for (_, a), (_, b) in zip(params.blocks().items(), loaded.blocks().items()):
             assert np.array_equal(a, b)
         assert (tmp_path / "m.ckpt.meta.json").exists()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, disk_full):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._params(), path)
+        good = path.read_bytes()
+        disk_full(64)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(self._params(), tmp_path / "new.ckpt")
+        other = init_params(ModelConfig(vocab_size=17, embed_dim=6, num_classes=3), 5)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(other, path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_truncated_file(self, tmp_path):
         params = self._params()

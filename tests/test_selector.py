@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradselect import gradstore
 from gradselect.corpus import encode_documents
 from gradselect.gradstore import Projection, write_store
 from gradselect.model import ModelConfig, init_params
@@ -24,24 +25,19 @@ from gradselect.selector import (
 from gradselect.toycorpus import TOPIC_WORDS, make_classification_corpus
 
 
+@pytest.fixture(autouse=True, scope="module")
+def three_row_read_slices():
+    """Stores stream in 3-row slices here, so every scan crosses slice boundaries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradstore, "_READ_BLOCK_ROWS", 3)
+        yield
+
+
 def make_store(tmp_path, blocks, losses=None, labels=None, name="s.selg"):
     blocks = [np.asarray(b, dtype=np.float32) for b in blocks]
     n, k = blocks[0].shape
     losses = np.arange(n, dtype=np.float64) if losses is None else np.asarray(losses)
-    return write_store(
-        tmp_path / name, blocks, losses, labels, Projection(8, k, seed=0), chunk_rows=3
-    )
-
-
-def random_instance(rng, tmp_path, name):
-    n = int(rng.integers(10, 120))
-    k = int(rng.integers(3, 32))
-    p = int(rng.choice([1, 3]))
-    blocks = [rng.standard_normal((n, k)) for _ in range(p)]
-    dirs = [rng.standard_normal(k) for _ in range(p)]
-    m = int(rng.integers(1, n + 1))
-    store = make_store(tmp_path, blocks, labels=rng.integers(0, 4, n), name=name)
-    return store, dirs, m
+    return write_store(tmp_path / name, blocks, losses, labels, Projection(8, k, seed=0))
 
 
 class TestSynthCheckpoints:
@@ -85,7 +81,7 @@ class TestAutolabel:
         from gradselect.corpus import build_vocab
 
         docs = make_docs(["a b", "c d", "e f"])
-        vocab = build_vocab(docs, 16, 0)
+        vocab = build_vocab(docs, 16)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, num_classes=4)
         params = init_params(cfg, 0)
         params.head_b[:] = np.array([0, 0, 30.0, 0], dtype=np.float32)
@@ -96,7 +92,7 @@ class TestAutolabel:
         from gradselect.corpus import build_vocab
 
         docs = make_docs(["a b"])
-        vocab = build_vocab(docs, 16, 0)
+        vocab = build_vocab(docs, 16)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, num_classes=3)
         params = init_params(cfg, 0)
         for block in params.blocks().values():
@@ -115,7 +111,7 @@ class TestAutolabel:
         from gradselect.corpus import build_vocab
 
         docs = make_docs(["a b c"])
-        vocab = build_vocab(docs, 16, 0)
+        vocab = build_vocab(docs, 16)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, task="next_token")
         params = init_params(cfg, 0)
         batch = encode_documents(docs, vocab, 4)
@@ -123,13 +119,24 @@ class TestAutolabel:
 
 
 class TestSelectGreedy:
-    def test_dot_equals_topk_200_instances(self, tmp_path):
-        rng = np.random.default_rng(42)
-        for t in range(200):
-            store, dirs, m = random_instance(rng, tmp_path, f"i{t}.selg")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 119),
+        k=st.integers(3, 31),
+        p=st.sampled_from([1, 3]),
+        m_frac=st.floats(0.0, 1.0),
+    )
+    def test_dot_equals_topk(self, seed, n, k, p, m_frac):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((n, k)) for _ in range(p)]
+        dirs = [rng.standard_normal(k) for _ in range(p)]
+        m = max(1, round(m_frac * n))
+        with tempfile.TemporaryDirectory() as tmp:
+            store = make_store(Path(tmp), blocks, labels=rng.integers(0, 4, n))
             greedy = select_greedy(store, dirs, m, rule="dot")
             topk = select_baseline(store, dirs, m, "topk")
-            assert set(greedy.indices) == set(topk.indices)
+        assert set(greedy.indices) == set(topk.indices)
 
     def test_hand_cosine_example(self, tmp_path):
         store = make_store(tmp_path, [[[1, 0], [0.9, 0.1], [-1, 0]]])
@@ -286,6 +293,19 @@ class TestSelectionIO:
         payload = json.loads(path.read_text())
         assert payload["M"] == 3 and payload["P"] == 2 and payload["k"] == 64
         assert payload["seeds"] == [0, 1]
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, disk_full):
+        path = tmp_path / "sel.json"
+        write_selection(SelectionResult([3, 1], [0.5, 0.4], "dot", "select"), path, 1, 8)
+        good = path.read_bytes()
+        disk_full(10)
+        other = SelectionResult([0, 2], [0.9, 0.1], "dot", "select")
+        with pytest.raises(OSError, match="No space"):
+            write_selection(other, tmp_path / "new.json", 1, 8)
+        with pytest.raises(OSError, match="No space"):
+            write_selection(other, path, 1, 8)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["sel.json"]
 
     def test_distinct_indices_enforced(self):
         with pytest.raises(ValueError, match="distinct"):
