@@ -140,7 +140,7 @@ def cmd_stage(args) -> int:
             metrics = evaluate(final, ctx.test_docs, ctx.vocab, config.seq_len)
             report = json.dumps(metrics.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}_eval.json").write_text(report)
-            print(f"{method}: {json.dumps(metrics.to_dict())}")
+            print(f"{method}: {report}")
         else:
             report = harness.score_selection(config, ctx, docs, ctx.train_docs).to_dict()
             (out / "reports" / f"{method}.json").write_text(json.dumps(report, sort_keys=True))
