@@ -10,9 +10,14 @@ row can be regenerated exactly.
 Store layout (little-endian): magic "SELG", u32 version, u32 header length,
 JSON header, then one contiguous (num_examples x k) float32 block per
 checkpoint, then two float32 aux blocks of length num_examples (loss under
-the final model, pseudolabel; -1 where no label applies). Readers stream a
-block in fixed slices of ``_READ_BLOCK_ROWS`` rows. Headers written with a
-``chunk_rows`` field still open; the field is ignored.
+the final model, pseudolabel; -1 where no label applies). Headers written
+with a ``chunk_rows`` field still open; the field is ignored.
+
+Every selector scores a store through ``GradientStore.scores``: one fused
+float64 pass over each block, in slices of ``_READ_BLOCK_ROWS`` rows, gives
+<row, d_j> and |row|^2 together. The store keeps the result for the last
+direction set it was asked about, so the selectors of one cell read the rows
+once between them.
 
 The JSON header is padded with trailing spaces so that the data starts at a
 multiple of 64 bytes. The memory map itself starts on a page, so every
@@ -28,7 +33,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .model import (
     _class_activations,
     _lm_activations,
     _per_example_losses,
+    _read_exact,
     _unpad,
 )
 
@@ -49,7 +55,7 @@ DEFAULT_PROJECTION_DIM = 4096
 # Rows per slab of per-example gradients computed at once.
 _COMPUTE_BATCH = 256
 _PROJECT_BLOCK_ROWS = 1024
-# Rows per slice that GradientStore.iter_blocks yields.
+# Rows per float64 slice of the GradientStore.scores pass.
 _READ_BLOCK_ROWS = 1024
 # Byte alignment of the data section (the header is space-padded up to it).
 _DATA_ALIGN = 64
@@ -207,10 +213,10 @@ class GradientStore:
                 raise ValueError(
                     f"bad store magic {magic!r}, expected {STORE_MAGIC!r}"
                 )
-            version, header_len = struct.unpack("<II", _read(fh, 8, "store"))
+            version, header_len = struct.unpack("<II", _read_exact(fh, 8, "store"))
             if version != STORE_VERSION:
                 raise ValueError(f"unsupported store version {version}")
-            self.header = json.loads(_read(fh, header_len, "store").decode("utf-8"))
+            self.header = json.loads(_read_exact(fh, header_len, "store").decode("utf-8"))
             self._data_offset = 12 + header_len
         self.num_examples = int(self.header["num_examples"])
         self.k = int(self.header["k"])
@@ -236,6 +242,8 @@ class GradientStore:
         )
         self.pseudolabels = raw_labels.astype(np.int64)
         self.has_labels = bool((raw_labels >= 0).all())
+        # (direction bytes, (static, sqnorm)) of the last scores() call.
+        self._last_scores: tuple = (None, None)
 
     def block(self, j: int) -> np.ndarray:
         """Memory-mapped (num_examples, k) view for checkpoint j."""
@@ -249,19 +257,31 @@ class GradientStore:
     def row(self, j: int, i: int) -> np.ndarray:
         return np.asarray(self.block(j)[i], dtype=np.float64)
 
-    def iter_blocks(self, j: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Stream (start, stop, rows) slices of ``_READ_BLOCK_ROWS`` rows."""
-        blk = self.block(j)
-        for start in range(0, self.num_examples, _READ_BLOCK_ROWS):
-            stop = min(start + _READ_BLOCK_ROWS, self.num_examples)
-            yield start, stop, blk[start:stop]
+    def scores(self, dirs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(P, n) float64 <row(j, i), dirs[j]> and |row(j, i)|^2, both read-only.
 
-
-def _read(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise ValueError(f"unexpected end of {what}")
-    return data
+        One pass casts each slice of rows to float64 once for both products.
+        The result for the last direction set is kept, keyed by the
+        directions' float64 bytes, and returned again for equal directions.
+        """
+        dirs = [np.asarray(d, dtype=np.float64) for d in dirs]
+        if len(dirs) != self.num_checkpoints:
+            raise ValueError(f"got {len(dirs)} directions for {self.num_checkpoints} checkpoints")
+        if any(d.shape != (self.k,) for d in dirs):
+            raise ValueError("direction dimension does not match store k")
+        key = b"".join(d.tobytes() for d in dirs)
+        if key != self._last_scores[0]:
+            static, sqnorm = np.empty((2, self.num_checkpoints, self.num_examples))
+            for j, d in enumerate(dirs):
+                blk = self.block(j)
+                for start in range(0, self.num_examples, _READ_BLOCK_ROWS):
+                    span = slice(start, start + _READ_BLOCK_ROWS)
+                    rows = np.asarray(blk[span], dtype=np.float64)
+                    static[j, span] = rows @ d
+                    sqnorm[j, span] = (rows * rows).sum(axis=1)
+            static.flags.writeable = sqnorm.flags.writeable = False
+            self._last_scores = (key, (static, sqnorm))
+        return self._last_scores[1]
 
 
 def _write_header(
@@ -383,17 +403,5 @@ def build_store(
 
 
 def scan_scores(store: GradientStore, dirs: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-example sums of <row(j, i), dirs[j]> over checkpoints, streamed chunk by chunk."""
-    if len(dirs) != store.num_checkpoints:
-        raise ValueError(
-            f"got {len(dirs)} directions for {store.num_checkpoints} checkpoints"
-        )
-    for d in dirs:
-        if np.asarray(d).shape != (store.k,):
-            raise ValueError("direction dimension does not match store k")
-    scores = np.zeros(store.num_examples)
-    for j in range(store.num_checkpoints):
-        d = np.asarray(dirs[j], dtype=np.float64)
-        for start, stop, block in store.iter_blocks(j):
-            scores[start:stop] += block @ d
-    return scores
+    """Per-example sums of <row(j, i), dirs[j]> over checkpoints."""
+    return store.scores(dirs)[0].sum(axis=0)

@@ -192,17 +192,13 @@ class ExperimentConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
-    def from_dict(cls, data: dict, check_paths: bool = True) -> "ExperimentConfig":
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
         reject_unknown_keys(data, (f.name for f in fields(cls)), "experiment")
         config = cls(**data)
-        if check_paths:
-            config.check_paths()
-        return config
-
-    def check_paths(self) -> None:
-        missing = [p for p in self._referenced_paths() if not Path(p).exists()]
+        missing = [p for p in config._referenced_paths() if not Path(p).exists()]
         if missing:
             raise FileNotFoundError(f"config references missing paths: {missing}")
+        return config
 
     def _referenced_paths(self) -> list[str]:
         paths = [self.corpus]
@@ -213,8 +209,8 @@ class ExperimentConfig:
         return paths
 
     @classmethod
-    def from_json(cls, path: str | Path, check_paths: bool = True) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()), check_paths)
+    def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def config_hash(self) -> str:
         return _digest(self.to_dict())
@@ -365,16 +361,10 @@ def model_config_for(config: ExperimentConfig, vocab: Vocab) -> ModelConfig:
 
 
 def prepare_run(
-    config: ExperimentConfig,
-    run_seed: int,
-    workspace: Workspace,
-    corpus_docs: DocumentSet | None = None,
-    corpus_path: str | None = None,
+    config: ExperimentConfig, run_seed: int, workspace: Workspace
 ) -> RunContext:
     """Split, build vocab and train (or reuse) the victim for one seed."""
-    corpus_path = corpus_path or config.corpus
-    if corpus_docs is None:
-        corpus_docs = _stage("load-corpus", load_jsonl, corpus_path)
+    corpus_docs = _stage("load-corpus", load_jsonl, config.corpus)
     train_all, seed_split, test_docs = _stage(
         "split", split, corpus_docs, tuple(config.fractions), run_seed
     )
@@ -386,7 +376,7 @@ def prepare_run(
     victim_key = _digest(
         [
             "victim",
-            _file_digest(corpus_path),
+            _file_digest(config.corpus),
             list(config.fractions),
             config.validation_fraction,
             config.vocab_max_size,
@@ -501,15 +491,23 @@ def gradient_stage(
         ]
     )
     store_path = workspace.path(f"store-{store_key}.selg")
+
+    def open_cached(path: Path) -> GradientStore:
+        cached = GradientStore(path)
+        if cached.fingerprints != [c.fingerprint() for c in checkpoints]:
+            raise ValueError("cached store was built from other checkpoints")
+        return cached
+
     store = None
     if store_path.exists():
         try:
-            store = _stage("open-store", GradientStore, store_path)
+            store = _stage("open-store", open_cached, store_path)
         except StageError as exc:
-            # A truncated or malformed file; an OS error would only repeat on rebuild.
+            # A truncated, malformed or stale file; an OS error would only
+            # repeat on rebuild.
             if not isinstance(exc.original, (ValueError, KeyError)):
                 raise
-            logger.warning("rebuilding unreadable cached store: %s", exc)
+            logger.warning("rebuilding unusable cached store: %s", exc)
     if store is None:
         store = _stage(
             "build-store",
@@ -625,8 +623,8 @@ def recovery_ot(
     rng = np.random.default_rng(ctx.run_seed + 77_000)
     sel = selected.subset(np.sort(rng.choice(len(selected), n, replace=False)))
     ref = reference.subset(np.sort(rng.choice(len(reference), n, replace=False)))
-    ea = embed(sel, ctx.theta0, ctx.vocab, ctx.config.seq_len, source="selected")
-    eb = embed(ref, ctx.theta0, ctx.vocab, ctx.config.seq_len, source="reference")
+    ea = embed(sel, ctx.theta0, ctx.vocab, ctx.config.seq_len)
+    eb = embed(ref, ctx.theta0, ctx.vocab, ctx.config.seq_len)
     return ot_distance(ea, eb, mode="auto")
 
 

@@ -30,10 +30,9 @@ _SINKHORN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Unit-norm document embeddings (n, h) plus a provenance tag."""
+    """Unit-norm document embeddings (n, h)."""
 
     vectors: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -86,7 +85,6 @@ def embed(
     base: ModelParams,
     vocab: Vocab,
     seq_len: int = 64,
-    source: str = "",
 ) -> EmbeddingSet:
     """Mean of base-model embedding rows over non-padding tokens, L2-normalized."""
     if len(docs) == 0:
@@ -102,7 +100,7 @@ def embed(
     norms = np.linalg.norm(pooled, axis=1, keepdims=True)
     if np.any(norms < 1e-12):
         raise ValueError("document embedding collapsed to the zero vector")
-    return EmbeddingSet(pooled / norms, source=source)
+    return EmbeddingSet(pooled / norms)
 
 
 def _as_points(e) -> np.ndarray:

@@ -9,6 +9,10 @@ each synthetic checkpoint. Three scoring rules are supported:
   which saturates on redundant picks and balances the batch;
 - ``residual``: alignment with what is left of the diff after subtracting
   the running sum.
+
+Every selector reads the static terms <g_i, d_j> and |g_i|^2 from one
+float64 pass, ``GradientStore.scores``. ``select_greedy`` is the windowed
+loop of ``select_batch`` with one window of all n rows.
 """
 
 from __future__ import annotations
@@ -103,36 +107,22 @@ def autolabel(batch: TokenBatch, theta_f: ModelParams) -> np.ndarray | None:
 class _GreedyEngine:
     """Stateful scorer for the greedy loop.
 
-    The static pass (<g_i, d_j> and |g_i|^2) and the running-sum algebra are
-    float64. Each step scores the rows [lo, hi) it is asked for: the cross
-    term <running sum, g_i> is one float32 matrix-vector product per
-    checkpoint over the mapped store rows of that range. The store's data is
-    64-byte aligned (see gradstore), so the product reads them in place.
+    The static terms (<g_i, d_j> and |g_i|^2) are the store's float64 pass,
+    ``GradientStore.scores``; the running-sum algebra is float64 too. Each
+    step scores the rows [lo, hi) it is asked for: the cross term
+    <running sum, g_i> is one float32 matrix-vector product per checkpoint
+    over the mapped store rows of that range. The store's data is 64-byte
+    aligned (see gradstore), so the product reads them in place.
     """
 
     def __init__(self, store: GradientStore, dirs: Sequence[np.ndarray], rule: str):
         if rule not in SCORING_RULES:
             raise ValueError(f"unknown scoring rule {rule!r}")
-        if len(dirs) != store.num_checkpoints:
-            raise ValueError(
-                f"got {len(dirs)} directions for {store.num_checkpoints} checkpoints"
-            )
+        self.static, self.sqnorm = store.scores(dirs)
         self.store = store
         self.rule = rule
         self.dirs = [np.asarray(d, dtype=np.float64) for d in dirs]
-        for d in self.dirs:
-            if d.shape != (store.k,):
-                raise ValueError("direction dimension does not match store")
         n, p = store.num_examples, store.num_checkpoints
-        self.static = np.zeros((p, n))
-        self.sqnorm = np.zeros((p, n)) if rule == "cosine_sum" else None
-        for j in range(p):
-            d = self.dirs[j]
-            for start, stop, block in store.iter_blocks(j):
-                b64 = np.asarray(block, dtype=np.float64)
-                self.static[j, start:stop] = b64 @ d
-                if self.sqnorm is not None:
-                    self.sqnorm[j, start:stop] = (b64 * b64).sum(axis=1)
         self.d_norm = np.array([np.linalg.norm(d) for d in self.dirs])
         self.sums = np.zeros((p, store.k))
         self.sum_sq = np.zeros(p)
@@ -187,6 +177,16 @@ class _GreedyEngine:
             self.sum_sq[j] = float(self.sums[j] @ self.sums[j])
             self.sum_dot_d[j] = float(self.sums[j] @ self.dirs[j])
 
+    def run(self, num_select: int, window: int) -> "_GreedyEngine":
+        """The greedy loop over index-order windows of ``window`` rows."""
+        n = self.store.num_examples
+        per_window = math.ceil(num_select * window / n)
+        for lo in range(0, n, window):
+            hi = min(lo + window, n)
+            for _ in range(min(per_window, num_select - len(self.indices), hi - lo)):
+                self.add(*self.pick(lo, hi))
+        return self
+
     def result(self, method: str) -> SelectionResult:
         return SelectionResult(
             indices=list(self.indices),
@@ -204,13 +204,12 @@ def select_greedy(
 ) -> SelectionResult:
     """Greedy selection maximizing the rule's alignment at every step.
 
-    Every step scores all n rows.
+    The windowed loop with one window of all n rows: its budget
+    ceil(M * n / n) is M, and every step scores all n rows.
     """
     _check_budget(store, num_select)
     engine = _GreedyEngine(store, dirs, rule)
-    for _ in range(num_select):
-        engine.add(*engine.pick(0, store.num_examples))
-    return engine.result("select")
+    return engine.run(num_select, store.num_examples).result("select")
 
 
 def select_batch(
@@ -230,14 +229,8 @@ def select_batch(
     _check_budget(store, num_select)
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    n = store.num_examples
-    per_window = math.ceil(num_select * batch_size / n)
     engine = _GreedyEngine(store, dirs, "cosine_sum")
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        for _ in range(min(per_window, num_select - len(engine.indices), hi - lo)):
-            engine.add(*engine.pick(lo, hi))
-    return engine.result("select_batch")
+    return engine.run(num_select, batch_size).result("select_batch")
 
 
 def select_baseline(
@@ -252,6 +245,16 @@ def select_baseline(
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown baseline {method!r}")
     n = store.num_examples
+    if method in ("pmin", "pmax"):
+        losses = store.final_losses
+        key = losses if method == "pmin" else -losses
+        order = np.lexsort((np.arange(n), key))[:num_select]
+        return SelectionResult(
+            [int(i) for i in order],
+            [float(losses[i]) for i in order],
+            rule="none",
+            method=method,
+        )
     static = scan_scores(store, dirs)
 
     if method == "random":
@@ -260,16 +263,6 @@ def select_baseline(
         return SelectionResult(
             [int(i) for i in chosen],
             [float(static[i]) for i in chosen],
-            rule="none",
-            method=method,
-        )
-    if method in ("pmin", "pmax"):
-        losses = store.final_losses
-        key = losses if method == "pmin" else -losses
-        order = np.lexsort((np.arange(n), key))[:num_select]
-        return SelectionResult(
-            [int(i) for i in order],
-            [float(losses[i]) for i in order],
             rule="none",
             method=method,
         )

@@ -409,6 +409,81 @@ class TestScanScores:
             scan_scores(store, [np.zeros(2), np.zeros(2)])
 
 
+class TestStoreScores:
+    """GradientStore.scores: the one float64 pass every selector reads."""
+
+    @staticmethod
+    def _random_store(tmp_dir, seed, n, k, p):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((n, k)).astype(np.float32) for _ in range(p)]
+        dirs = [rng.standard_normal(k) for _ in range(p)]
+        store = write_store(
+            Path(tmp_dir) / "s.selg", blocks, np.zeros(n), None, Projection(8, k, seed=0)
+        )
+        return store, blocks, dirs
+
+    @staticmethod
+    def _count_block_reads(monkeypatch) -> list:
+        calls = []
+        original = GradientStore.block
+
+        def counted(self, j):
+            calls.append(j)
+            return original(self, j)
+
+        monkeypatch.setattr(GradientStore, "block", counted)
+        return calls
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        k=st.integers(1, 24),
+        p=st.integers(1, 3),
+        read_rows=st.integers(1, 8),
+    )
+    def test_matches_dense_float64_oracle(self, seed, n, k, p, read_rows):
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(gradstore, "_READ_BLOCK_ROWS", read_rows)
+            store, blocks, dirs = self._random_store(tmp, seed, n, k, p)
+            static, sqnorm = store.scores(dirs)
+        assert static.shape == sqnorm.shape == (p, n)
+        for j, (b, d) in enumerate(zip(blocks, dirs)):
+            b64 = b.astype(np.float64)
+            scale = np.abs(b64) @ np.abs(d)
+            assert np.all(np.abs(static[j] - b64 @ d) <= 1e-12 * scale)
+            want = (b64 * b64).sum(axis=1)
+            assert np.all(np.abs(sqnorm[j] - want) <= 1e-12 * want)
+
+    def test_equal_directions_read_the_rows_once(self, tmp_path, monkeypatch):
+        store, _, dirs = self._random_store(tmp_path, 0, 30, 5, 2)
+        calls = self._count_block_reads(monkeypatch)
+        first = store.scores(dirs)
+        assert calls == [0, 1]
+        again = store.scores([d.copy() for d in dirs])
+        assert calls == [0, 1]
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_changed_directions_recompute(self, tmp_path, monkeypatch):
+        store, blocks, dirs = self._random_store(tmp_path, 1, 30, 5, 2)
+        static, _ = store.scores(dirs)
+        calls = self._count_block_reads(monkeypatch)
+        moved = [dirs[0], dirs[1] + 1.0]
+        static_moved, _ = store.scores(moved)
+        assert calls == [0, 1]
+        assert np.array_equal(static_moved[0], static[0])
+        assert np.allclose(static_moved[1], blocks[1].astype(np.float64) @ moved[1])
+        assert not np.allclose(static_moved[1], static[1])
+
+    def test_result_is_read_only(self, tmp_path):
+        store, _, dirs = self._random_store(tmp_path, 2, 10, 4, 1)
+        static, sqnorm = store.scores(dirs)
+        with pytest.raises(ValueError, match="read-only"):
+            static[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sqnorm[0, 0] = 1.0
+
+
 class TestStoreLayout:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

@@ -229,6 +229,37 @@ class TestPipeline:
         assert store.read_bytes() == intact
         assert not list(cache.glob("*.tmp"))
 
+    def test_cached_store_of_other_checkpoints_is_rebuilt(self, tmp_path, caplog):
+        config = base_config(
+            tmp_path, methods=["select", "random"], seeds=[0], num_checkpoints=2
+        )
+        first = run_pipeline(config)
+        cache = Workspace(config.out_dir).cache_dir
+        (store,) = cache.glob("store-*.selg")
+        intact = store.read_bytes()
+        # Same pool, n, k and P, but another victim, so the second synthetic
+        # checkpoint (halfway to the final model) has another fingerprint.
+        other = base_config(
+            tmp_path,
+            methods=["select"],
+            seeds=[0],
+            num_checkpoints=2,
+            out_dir=str(tmp_path / "other"),
+            victim_opt={**config.victim_opt.to_dict(), "learning_rate": 0.05},
+        )
+        run_pipeline(other)
+        (stale,) = Workspace(other.out_dir).cache_dir.glob("store-*.selg")
+        assert stale.read_bytes() != intact
+        store.write_bytes(stale.read_bytes())
+        for sel in cache.glob("sel-*.json"):
+            sel.unlink()
+        with caplog.at_level("WARNING", logger="gradselect.harness"):
+            second = run_pipeline(config)
+        assert "other checkpoints" in caplog.text
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+        assert store.read_bytes() == intact
+
     @pytest.mark.parametrize("kind", ["pipeline", "scaling"])
     def test_parallel_matches_serial(self, tmp_path, kind):
         overrides = dict(

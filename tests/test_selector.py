@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gradselect import gradstore
 from gradselect.corpus import encode_documents
-from gradselect.gradstore import Projection, write_store
+from gradselect.gradstore import GradientStore, Projection, write_store
 from gradselect.model import ModelConfig, init_params
 from gradselect.selector import (
     SelectionResult,
@@ -232,6 +232,30 @@ class TestSelectBatch:
 
 
 class TestSelectBaseline:
+    def test_selectors_share_one_static_pass(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        blocks = [rng.standard_normal((20, 4)) for _ in range(2)]
+        store = make_store(tmp_path, blocks, labels=np.arange(20) % 3)
+        dirs = [rng.standard_normal(4) for _ in range(2)]
+        passes = []
+        original = GradientStore.scores
+
+        def spy(self, d):
+            out = original(self, d)
+            passes.append(out[0])
+            return out
+
+        monkeypatch.setattr(GradientStore, "scores", spy)
+        for method in ("pmin", "pmax"):
+            select_baseline(store, dirs, 5, method)
+        assert passes == []
+        select_greedy(store, dirs, 5)
+        select_batch(store, dirs, 5, 7)
+        for method in ("random", "topk", "topk_balanced"):
+            select_baseline(store, dirs, 5, method)
+        assert len(passes) == 5
+        assert all(static is passes[0] for static in passes)
+
     def test_pmin_pmax(self, tmp_path):
         store = make_store(
             tmp_path, [[[1, 0], [0, 1], [1, 1]]], losses=np.array([0.1, 5.0, 2.0])
@@ -409,6 +433,11 @@ class TestFloat32CrossTerm:
         with tempfile.TemporaryDirectory() as tmp:
             store, _, dirs = random_store(tmp, seed, n, k, p, scale_exp)
             result = select_batch(store, dirs, m, batch_size)
+            one_window = select_batch(store, dirs, m, n)
+            greedy = select_greedy(store, dirs, m)
+        # One window of all n rows is the plain greedy loop.
+        assert one_window.indices == greedy.indices
+        assert one_window.step_scores == greedy.step_scores
         per_window = math.ceil(m * batch_size / n)
         taken = 0
         for lo in range(0, n, batch_size):
