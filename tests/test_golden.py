@@ -2,13 +2,14 @@
 
 Each config is the ``cls`` or ``lm`` benchmark pipeline shape at the smoke-test
 sizes (300 task documents, a 600-document pool, M=40, k=64), run for seed 0
-with every default method of its task. The gate compares, against
+with every default method of its task. ``cls_hidden`` and ``lm_hidden`` are
+the same configs with the tanh hidden layer on. The gate compares, against
 ``tests/golden/<name>.json``:
 
 - the selected indices of every method: exact;
-- the step scores of every method and every row metric: exact for ``cls``,
-  within ``LM_RTOL`` relative for ``lm`` (next-token training sums float32
-  terms whose order a kernel change may move; 7e-8 has been seen).
+- the step scores of every method and every row metric: exact for the ``cls``
+  configs, within ``LM_RTOL`` relative for the ``lm`` ones (next-token training
+  sums float32 terms whose order a kernel change may move; 7e-8 has been seen).
 
 A refactor must pass this gate with no golden file edited. A change that moves
 the output on purpose regenerates the files with
@@ -35,11 +36,11 @@ from gradselect.toycorpus import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 LM_RTOL = 1e-6
-NAMES = ("cls", "lm")
+NAMES = ("cls", "lm", "cls_hidden", "lm_hidden")
 
 
 def _config(name: str, dest: Path) -> ExperimentConfig:
-    if name == "cls":
+    if name.startswith("cls"):
         task = make_classification_corpus(300, 4, seed=42, key_lo=3, key_hi=6, len_lo=8, len_hi=12)
         pool = make_pool_corpus(600, 4, seed=43, useful_fraction=0.06)
         model = {"embed_dim": 32, "num_classes": 4, "task": "classification"}
@@ -53,6 +54,8 @@ def _config(name: str, dest: Path) -> ExperimentConfig:
         victim = {"kind": "sgd", "learning_rate": 0.5, "epochs": 2, "batch_size": 32, "seed": 0}
         retrain = {"kind": "adam", "learning_rate": 0.01, "epochs": 2, "batch_size": 32, "seed": 0}
         extra = {"seq_len": 32}
+    if name.endswith("_hidden"):
+        model["hidden_layer"] = True
     save_jsonl(task, dest / "task.jsonl")
     save_jsonl(pool, dest / "pool.jsonl")
     return ExperimentConfig.from_dict(
@@ -114,7 +117,7 @@ def test_matches_golden(tmp_path, name):
     assert list(got["selections"]) == list(want["selections"])
     for method, sel in want["selections"].items():
         assert got["selections"][method]["indices"] == sel["indices"], method
-    rtol = LM_RTOL if name == "lm" else 0.0
+    rtol = LM_RTOL if name.startswith("lm") else 0.0
     _assert_matches(got, want, rtol, name)
 
 
