@@ -10,8 +10,10 @@ row can be regenerated exactly.
 Store layout (little-endian): magic "SELG", u32 version, u32 header length,
 JSON header, then one contiguous (num_examples x k) float32 block per
 checkpoint, then two float32 aux blocks of length num_examples (loss under
-the final model, pseudolabel; -1 where no label applies). Headers written
-with a ``chunk_rows`` field still open; the field is ignored.
+the final model, pseudolabel; -1 where no label applies). The header holds
+the fingerprint of every checkpoint and, from ``build_store``, of the final
+model the aux blocks came from. Headers written with a ``chunk_rows`` field
+still open; the field is ignored.
 
 Every selector scores a store through ``GradientStore.scores``: one fused
 float64 pass over each block, in slices of ``_READ_BLOCK_ROWS`` rows, gives
@@ -41,11 +43,10 @@ from .corpus import TokenBatch, TokenSeq, atomic_write
 from .model import (
     TASK_CLASSIFICATION,
     ModelParams,
-    _class_activations,
-    _lm_activations,
+    _head_positions,
     _per_example_losses,
     _read_exact,
-    _unpad,
+    _residual,
 )
 
 STORE_MAGIC = b"SELG"
@@ -155,28 +156,18 @@ def _last_layer_grad_batch(
     lens: np.ndarray,
     labels: np.ndarray | None,
 ) -> np.ndarray:
-    """(batch, D*h + D) float64 per-example head gradients."""
-    cfg = params.config
-    if cfg.task == TASK_CLASSIFICATION:
-        if labels is None:
-            raise ValueError("classification gradients need labels")
-        _, z, logp = _class_activations(params, ids, lens)
-        err = np.exp(logp).astype(np.float64)
-        err[np.arange(len(lens)), labels] -= 1.0
-        gw = err[:, :, None] * z[:, None, :].astype(np.float64)
-        return np.concatenate([gw.reshape(len(lens), -1), err], axis=1)
-    ids = _unpad(ids, lens)
-    _, z, logp, pos_mask = _lm_activations(params, ids, lens)
-    err = np.exp(logp).astype(np.float64)
-    targets = ids[:, 1:]
-    np.put_along_axis(
-        err,
-        targets[:, :, None],
-        np.take_along_axis(err, targets[:, :, None], axis=2) - 1.0,
-        axis=2,
-    )
-    err *= pos_mask[:, :, None]
-    denom = pos_mask.sum(axis=1).astype(np.float64)
+    """(batch, D*h + D) float64 per-example head gradients.
+
+    A document's row is the mean, over its prediction positions (one for
+    classification), of outer(e_t, z_t) for the weight and e_t for the bias,
+    with e_t the float64 softmax - onehot residual of ``model._residual`` and
+    z_t the input to the head.
+    """
+    if params.config.task == TASK_CLASSIFICATION and labels is None:
+        raise ValueError("classification gradients need labels")
+    _, z, logp, targets, mask = _head_positions(params, ids, lens, labels)
+    err = _residual(logp, targets, np.float64) * mask[:, :, None]
+    denom = mask.sum(axis=1).astype(np.float64)
     gw = np.matmul(err.transpose(0, 2, 1), z.astype(np.float64))
     gw /= denom[:, None, None]
     gb = err.sum(axis=1) / denom[:, None]
@@ -290,6 +281,7 @@ def _write_header(
     proj: Projection,
     num_checkpoints: int,
     fingerprints: Sequence[str],
+    final_fingerprint: str | None = None,
 ) -> None:
     header = {
         "num_examples": num_examples,
@@ -300,6 +292,8 @@ def _write_header(
         "aux": ["final_loss", "pseudolabel"],
         "dtype": "float32",
     }
+    if final_fingerprint is not None:
+        header["final_fingerprint"] = final_fingerprint
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     header_bytes += b" " * (-(12 + len(header_bytes)) % _DATA_ALIGN)
     fh.write(STORE_MAGIC)
@@ -382,7 +376,7 @@ def build_store(
 
     fingerprints = [c.fingerprint() for c in checkpoints]
     with atomic_write(path) as fh:
-        _write_header(fh, n, proj, len(checkpoints), fingerprints)
+        _write_header(fh, n, proj, len(checkpoints), fingerprints, theta_f.fingerprint())
         for ckpt in checkpoints:
             for s0 in range(0, n, _COMPUTE_BATCH):
                 s1 = min(s0 + _COMPUTE_BATCH, n)

@@ -104,6 +104,12 @@ class StageError(RuntimeError):
 
 # The keys of ExperimentConfig.model: every ModelConfig field but the vocabulary size.
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
+# The keys of ExperimentConfig.params that some experiment kind reads. One set
+# for every kind, since a config may be rerun as another kind.
+_PARAMS_KEYS = (
+    "m_list", "leak_fractions", "leak_pool_size", "seed_corpora", "task_corpora",
+    "k_list", "victim_optimizers", "retrain_optimizers", "replace_steps", "trials",
+)
 _INT_FIELDS = (
     "selection_size",
     "num_checkpoints",
@@ -163,6 +169,7 @@ class ExperimentConfig:
             if isinstance(getattr(self, name), dict):
                 put(name, OptimizerConfig.from_dict(getattr(self, name)))
         reject_unknown_keys(self.model, _MODEL_KEYS, "model")
+        reject_unknown_keys(self.params, _PARAMS_KEYS, "params")
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.experiment!r}")
         if not self.seeds:
@@ -496,6 +503,10 @@ def gradient_stage(
         cached = GradientStore(path)
         if cached.fingerprints != [c.fingerprint() for c in checkpoints]:
             raise ValueError("cached store was built from other checkpoints")
+        # The final losses and pseudolabels come from theta_f, which the
+        # checkpoint fingerprints miss at P=1. A header without it is stale.
+        if cached.header.get("final_fingerprint") != ctx.theta_f.fingerprint():
+            raise ValueError("cached store was built from other checkpoints (final model)")
         return cached
 
     store = None

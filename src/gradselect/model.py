@@ -1,10 +1,17 @@
 """Small differentiable victim model with native optimizers and checkpoints.
 
 The backbone is deliberately minimal: mean-pooled token embeddings, an
-optional tanh hidden layer, and a linear softmax head. Two task heads are
+optional tanh hidden layer, and a linear softmax head. Two tasks are
 supported: a C-way classifier (one label per document) and a next-token
 predictor (per-position V-way softmax over a causal mean-pooled context).
 Everything is plain numpy; gradients are analytic.
+
+One softmax head serves both tasks. ``_head_positions`` turns a batch into
+prediction positions (one per document for classification, one per token
+but the last for next-token), and everything downstream runs one path over
+them: hidden layer, log-softmax, the NLL, the softmax - onehot residual, and
+the head and hidden-layer backprop. Three things stay per task: the pooling,
+its backward scatter into the embedding, and the gradient scale.
 
 Batched kernels run only up to the longest valid column of their batch
 (``_unpad``): the padding past it would be computed and then zeroed by the
@@ -16,13 +23,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import DocumentSet, TokenBatch, TokenSeq, Vocab, atomic_write, encode_documents
+from .corpus import DocumentSet, TokenSeq, Vocab, atomic_write, encode_documents
 
 CHECKPOINT_MAGIC = b"SELC"
 CHECKPOINT_VERSION = 1
@@ -264,48 +271,72 @@ def _unpad(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return ids[:, : lens.max(initial=0)]
 
 
-def _class_activations(
-    params: ModelParams, ids: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classification forward: (pooled, post-hidden z, log-probs)."""
-    if np.any(lens < 1):
-        raise ValueError("every document must have at least 1 token")
-    ids = _unpad(ids, lens)
-    emb = params.embedding[ids]
-    mask = np.arange(ids.shape[1])[None, :] < lens[:, None]
-    pooled = (emb * mask[:, :, None]).sum(axis=1) / lens[:, None]
-    if params.config.hidden_layer:
-        z = np.tanh(pooled @ params.hidden_w.T + params.hidden_b)
-    else:
-        z = pooled
-    logits = z @ params.head_w.T + params.head_b
-    return pooled, z, _log_softmax(logits)
+def _head_positions(
+    params: ModelParams,
+    ids: np.ndarray,
+    lens: np.ndarray,
+    labels: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Forward pass over the prediction positions of a batch, for either task.
 
+    Returns (context, z, logp, targets, mask) for b documents of T positions:
 
-def _lm_activations(
-    params: ModelParams, ids: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Next-token forward over prediction positions t = 0..s-2.
+    - context (b, T, h): the pooled input of each position;
+    - z (b, T, h): context after the optional tanh hidden layer;
+    - logp (b, T, D): log-softmax of the head;
+    - targets (b, T) int: the target of each position, None for
+      classification without labels;
+    - mask (b, T) bool: the positions with a target.
 
-    Returns (context, z, logp, pos_mask) where context[b, t] is the mean
-    embedding of tokens 0..t and pos_mask marks positions with a valid
-    target (t + 1 < valid_len).
+    Classification has T = 1: the mean of every valid token (float64), with
+    the label as target. Next-token has T = s - 1 over the unpadded width s:
+    position t is the mean of tokens 0..t (in the embedding dtype), with token
+    t + 1 as target. The head matmuls run on the positions flattened into the
+    batch axis.
     """
-    if np.any(lens < 2):
+    cfg = params.config
+    classify = cfg.task == TASK_CLASSIFICATION
+    if classify and np.any(lens < 1):
+        raise ValueError("every document must have at least 1 token")
+    if not classify and np.any(lens < 2):
         raise ValueError("next-token documents need at least 2 tokens")
-    s = ids.shape[1]
-    emb = params.embedding[ids]
+    ids = _unpad(ids, lens)
+    b, s = ids.shape
     tok_mask = np.arange(s)[None, :] < lens[:, None]
-    csum = np.cumsum(emb * tok_mask[:, :, None], axis=1)[:, :-1, :]
-    counts = np.arange(1, s, dtype=params.embedding.dtype)
-    context = csum / counts[None, :, None]
-    if params.config.hidden_layer:
-        z = np.tanh(context @ params.hidden_w.T + params.hidden_b)
+    emb = params.embedding[ids] * tok_mask[:, :, None]
+    if classify:
+        context = (emb.sum(axis=1) / lens[:, None])[:, None, :]
+        targets = None if labels is None else np.asarray(labels)[:, None]
+        mask = np.ones((b, 1), dtype=bool)
     else:
-        z = context
-    logits = z @ params.head_w.T + params.head_b
-    pos_mask = np.arange(s - 1)[None, :] < (lens - 1)[:, None]
-    return context, z, _log_softmax(logits), pos_mask
+        counts = np.arange(1, s, dtype=params.embedding.dtype)
+        context = np.cumsum(emb, axis=1)[:, :-1, :] / counts[None, :, None]
+        targets = ids[:, 1:]
+        mask = tok_mask[:, 1:]
+    z = context.reshape(-1, cfg.embed_dim)
+    if cfg.hidden_layer:
+        z = np.tanh(z @ params.hidden_w.T + params.hidden_b)
+    logp = _log_softmax(z @ params.head_w.T + params.head_b)
+    logp = logp.reshape(*context.shape[:2], cfg.head_dim)
+    return context, z.reshape(context.shape), logp, targets, mask
+
+
+def _at_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of every position's target entry in a (b*T, D) view of (b, T, D)."""
+    return np.arange(targets.size), targets.ravel()
+
+
+def _example_nll(logp: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(b,) negative log-likelihood of each document, averaged over its positions."""
+    nll = -logp.reshape(-1, logp.shape[-1])[_at_targets(targets)].reshape(targets.shape)
+    return (nll * mask).sum(axis=1) / mask.sum(axis=1)
+
+
+def _residual(logp: np.ndarray, targets: np.ndarray, dtype) -> np.ndarray:
+    """(b, T, D) softmax - onehot(targets) in ``dtype``, at every position."""
+    err = np.exp(logp).astype(dtype)
+    err.reshape(-1, err.shape[-1])[_at_targets(targets)] -= 1.0
+    return err
 
 
 def forward(params: ModelParams, x: TokenSeq) -> ForwardPass:
@@ -314,20 +345,21 @@ def forward(params: ModelParams, x: TokenSeq) -> ForwardPass:
         raise ValueError("valid_len must be at least 1")
     ids = np.asarray(x.ids, dtype=np.int64)[None, :]
     lens = np.array([x.valid_len], dtype=np.int64)
+    _, z, logp, _, _ = _head_positions(params, ids, lens)
+    z, logp = z[0], logp[0]
     if params.config.task == TASK_CLASSIFICATION:
-        _, z, logp = _class_activations(params, ids, lens)
-        logits = z[0] @ params.head_w.T + params.head_b
-        return ForwardPass(z[0], logits, np.exp(logp[0]))
-    _, z, logp, _ = _lm_activations(params, ids, lens)
-    keep = x.valid_len - 1
-    logits = z[0, :keep] @ params.head_w.T + params.head_b
-    return ForwardPass(z[0, :keep], logits, np.exp(logp[0, :keep]))
+        z, logp = z[0], logp[0]
+    logits = z @ params.head_w.T + params.head_b
+    return ForwardPass(z, logits, np.exp(logp))
 
 
 def loss(params: ModelParams, x: TokenSeq, y=None) -> float:
-    """Cross-entropy for one example. Next-token targets default to x itself."""
-    ids = np.asarray(x.ids, dtype=np.int64)[None, :]
-    lens = np.array([x.valid_len], dtype=np.int64)
+    """Cross-entropy for one example.
+
+    Classification scores label ``y``; next-token scores the sequence's own
+    next tokens and takes no ``y``.
+    """
+    labels = None
     if params.config.task == TASK_CLASSIFICATION:
         if y is None:
             raise ValueError("classification loss needs a label")
@@ -336,16 +368,12 @@ def loss(params: ModelParams, x: TokenSeq, y=None) -> float:
             raise ValueError(
                 f"label {y} out of range for {params.config.num_classes} classes"
             )
-        _, _, logp = _class_activations(params, ids, lens)
-        return float(-logp[0, y])
-    _, _, logp, pos_mask = _lm_activations(params, ids, lens)
-    target_seq = ids[0] if y is None else np.asarray(y, dtype=np.int64)
-    targets = target_seq[1:]
-    if targets.min() < 0 or targets.max() >= params.config.vocab_size:
-        raise ValueError("target ids out of range for vocabulary")
-    nll = -logp[0, np.arange(ids.shape[1] - 1), targets]
-    m = pos_mask[0]
-    return float(nll[m].sum() / m.sum())
+        labels = np.array([y], dtype=np.int64)
+    elif y is not None:
+        raise ValueError("next-token loss takes no label: its targets are the sequence itself")
+    ids = np.asarray(x.ids, dtype=np.int64)[None, :]
+    lens = np.array([x.valid_len], dtype=np.int64)
+    return float(_per_example_losses(params, ids, lens, labels)[0])
 
 
 def batch_mean_loss(
@@ -358,14 +386,9 @@ def batch_mean_loss(
 def _per_example_losses(
     params: ModelParams, ids: np.ndarray, lens: np.ndarray, labels: np.ndarray | None
 ) -> np.ndarray:
-    if params.config.task == TASK_CLASSIFICATION:
-        _, _, logp = _class_activations(params, ids, lens)
-        return -logp[np.arange(len(lens)), labels]
-    ids = _unpad(ids, lens)
-    _, _, logp, pos_mask = _lm_activations(params, ids, lens)
-    targets = ids[:, 1:]
-    nll = -np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
-    return (nll * pos_mask).sum(axis=1) / pos_mask.sum(axis=1)
+    """(b,) loss of each document: its mean NLL over its prediction positions."""
+    _, _, logp, targets, mask = _head_positions(params, ids, lens, labels)
+    return _example_nll(logp, targets, mask)
 
 
 def batch_loss_and_grads(
@@ -378,67 +401,37 @@ def batch_loss_and_grads(
     cfg = params.config
     dtype = params.embedding.dtype
     n = ids.shape[0]
-    grads: dict[str, np.ndarray] = {}
+    context, z, logp, targets, mask = _head_positions(params, ids, lens, labels)
+    loss_val = float(_example_nll(logp, targets, mask).mean())
+    # The residual keeps the head's dtype: float64 for classification, float32
+    # for next-token. The scale spreads the batch mean over the positions.
+    err = _residual(logp, targets, logp.dtype)
     if cfg.task == TASK_CLASSIFICATION:
-        pooled, z, logp = _class_activations(params, ids, lens)
-        probs = np.exp(logp)
-        loss_val = float(-logp[np.arange(n), labels].mean())
-        err = probs.copy()
-        err[np.arange(n), labels] -= 1.0
         err /= n
-        grads["head_w"] = err.T @ z
-        grads["head_b"] = err.sum(axis=0)
-        dz = err @ params.head_w
-        if cfg.hidden_layer:
-            da = dz * (1.0 - z * z)
-            grads["hidden_w"] = da.T @ pooled
-            grads["hidden_b"] = da.sum(axis=0)
-            dpooled = da @ params.hidden_w
-        else:
-            dpooled = dz
-        d_emb = np.zeros_like(params.embedding)
-        mask = np.arange(ids.shape[1])[None, :] < lens[:, None]
-        rows, cols = np.nonzero(mask)
-        contrib = dpooled[rows] / lens[rows, None].astype(dtype)
-        _scatter_add_rows(d_emb, ids[rows, cols], contrib)
-        grads["embedding"] = d_emb
-        return loss_val, grads
-
-    ids = _unpad(ids, lens)
-    context, z, logp, pos_mask = _lm_activations(params, ids, lens)
-    probs = np.exp(logp)
-    targets = ids[:, 1:]
-    nll = -np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
-    denom = pos_mask.sum(axis=1)
-    loss_val = float(((nll * pos_mask).sum(axis=1) / denom).mean())
-    err = probs.copy()
-    np.put_along_axis(
-        err,
-        targets[:, :, None],
-        np.take_along_axis(err, targets[:, :, None], axis=2) - 1.0,
-        axis=2,
-    )
-    weight = (pos_mask / (denom[:, None] * n)).astype(dtype)
-    err *= weight[:, :, None]
-    h = cfg.embed_dim
-    grads["head_w"] = err.reshape(-1, cfg.vocab_size).T @ z.reshape(-1, h)
-    grads["head_b"] = err.sum(axis=(0, 1))
-    dz = err @ params.head_w
-    if cfg.hidden_layer:
-        da = dz * (1.0 - z * z)
-        grads["hidden_w"] = da.reshape(-1, h).T @ context.reshape(-1, h)
-        grads["hidden_b"] = da.sum(axis=(0, 1))
-        dcontext = da @ params.hidden_w
     else:
-        dcontext = dz
-    counts = np.arange(1, ids.shape[1], dtype=dtype)
-    dcsum = dcontext / counts[None, :, None]
-    # token at position u feeds every context t >= u: suffix-sum over t
-    dpos = np.flip(np.cumsum(np.flip(dcsum, axis=1), axis=1), axis=1)
+        err *= (mask / (mask.sum(axis=1)[:, None] * n)).astype(dtype)[:, :, None]
+    h = cfg.embed_dim
+    err, z = err.reshape(-1, cfg.head_dim), z.reshape(-1, h)
+    grads = {"head_w": err.T @ z, "head_b": err.sum(axis=0)}
+    dcontext = err @ params.head_w
+    if cfg.hidden_layer:
+        da = dcontext * (1.0 - z * z)
+        grads["hidden_w"] = da.T @ context.reshape(-1, h)
+        grads["hidden_b"] = da.sum(axis=0)
+        dcontext = da @ params.hidden_w
+    dcontext = dcontext.reshape(context.shape)
+    # The backward of the pooling scatters into the embedding rows of the tokens.
+    if cfg.task == TASK_CLASSIFICATION:
+        rows, cols = np.nonzero(np.arange(ids.shape[1])[None, :] < lens[:, None])
+        contrib = dcontext[rows, 0] / lens[rows, None].astype(dtype)
+    else:
+        dcsum = dcontext / np.arange(1, mask.shape[1] + 1, dtype=dtype)[None, :, None]
+        # token at position u feeds every context t >= u: suffix-sum over t
+        dpos = np.flip(np.cumsum(np.flip(dcsum, axis=1), axis=1), axis=1)
+        rows, cols = np.nonzero(mask)
+        contrib = dpos[rows, cols]
     d_emb = np.zeros_like(params.embedding)
-    upos_mask = np.arange(ids.shape[1] - 1)[None, :] < (lens - 1)[:, None]
-    rows, cols = np.nonzero(upos_mask)
-    _scatter_add_rows(d_emb, ids[rows, cols], dpos[rows, cols])
+    _scatter_add_rows(d_emb, ids[rows, cols], contrib)
     grads["embedding"] = d_emb
     return loss_val, grads
 
@@ -549,16 +542,12 @@ def evaluate(
     if len(test) == 0:
         raise ValueError("test set is empty")
     batch = encode_documents(test, vocab, seq_len)
-    if params.config.task == TASK_CLASSIFICATION:
-        labels = test.labels()
-        _, _, logp = _class_activations(params, batch.ids, batch.valid_len)
-        pred = logp.argmax(axis=1)
-        mean_loss = float(-logp[np.arange(len(test)), labels].mean())
-        return EvalMetrics(
-            mean_loss=mean_loss, accuracy=float((pred == labels).mean())
-        )
-    losses = _per_example_losses(params, batch.ids, batch.valid_len, None)
-    mean_loss = float(losses.mean())
+    labels = test.labels() if params.config.task == TASK_CLASSIFICATION else None
+    _, _, logp, targets, mask = _head_positions(params, batch.ids, batch.valid_len, labels)
+    mean_loss = float(_example_nll(logp, targets, mask).mean())
+    if labels is not None:
+        accuracy = float((logp[:, 0].argmax(axis=1) == labels).mean())
+        return EvalMetrics(mean_loss=mean_loss, accuracy=accuracy)
     return EvalMetrics(mean_loss=mean_loss, perplexity=float(np.exp(mean_loss)))
 
 

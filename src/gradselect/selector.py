@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import TokenBatch, atomic_write
 from .gradstore import GradientStore, scan_scores
-from .model import TASK_CLASSIFICATION, ModelParams, _class_activations
+from .model import TASK_CLASSIFICATION, ModelParams, _head_positions
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +99,8 @@ def autolabel(batch: TokenBatch, theta_f: ModelParams) -> np.ndarray | None:
     lens = np.asarray(batch.valid_len, dtype=np.int64)
     for s0 in range(0, len(batch), step):
         s1 = min(s0 + step, len(batch))
-        _, _, logp = _class_activations(theta_f, ids[s0:s1], lens[s0:s1])
-        labels[s0:s1] = logp.argmax(axis=1)
+        _, _, logp, _, _ = _head_positions(theta_f, ids[s0:s1], lens[s0:s1])
+        labels[s0:s1] = logp[:, 0].argmax(axis=1)
     return labels
 
 

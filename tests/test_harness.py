@@ -108,6 +108,7 @@ class TestConfig:
             ({"model": {"embed_dimm": 8}}, "embed_dimm"),
             ({"victim_opt": {"kind": "sgd", "lr": 0.05}}, "lr"),
             ({"retrain_opt": {"kind": "adam", "betas": [0.9, 0.99]}}, "betas"),
+            ({"params": {"m_lst": [5]}}, "m_lst"),
         ],
     )
     def test_unknown_key_named(self, tmp_path, overrides, key):
@@ -229,21 +230,23 @@ class TestPipeline:
         assert store.read_bytes() == intact
         assert not list(cache.glob("*.tmp"))
 
-    def test_cached_store_of_other_checkpoints_is_rebuilt(self, tmp_path, caplog):
+    @pytest.mark.parametrize("num_checkpoints", [1, 2])
+    def test_cached_store_of_other_checkpoints_is_rebuilt(self, tmp_path, caplog, num_checkpoints):
         config = base_config(
-            tmp_path, methods=["select", "random"], seeds=[0], num_checkpoints=2
+            tmp_path, methods=["select", "random"], seeds=[0], num_checkpoints=num_checkpoints
         )
         first = run_pipeline(config)
         cache = Workspace(config.out_dir).cache_dir
         (store,) = cache.glob("store-*.selg")
         intact = store.read_bytes()
-        # Same pool, n, k and P, but another victim, so the second synthetic
-        # checkpoint (halfway to the final model) has another fingerprint.
+        # Same pool, n, k and P, but another victim. At P=2 the second
+        # synthetic checkpoint (halfway to the final model) has another
+        # fingerprint; at P=1 only the final model differs.
         other = base_config(
             tmp_path,
             methods=["select"],
             seeds=[0],
-            num_checkpoints=2,
+            num_checkpoints=num_checkpoints,
             out_dir=str(tmp_path / "other"),
             victim_opt={**config.victim_opt.to_dict(), "learning_rate": 0.05},
         )

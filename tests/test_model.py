@@ -130,6 +130,15 @@ class TestLoss:
         with pytest.raises(ValueError, match="2 tokens"):
             loss(init_params(cfg, 0), seq([2, 0], 1))
 
+    def test_next_token_takes_no_label(self):
+        cfg = ModelConfig(vocab_size=9, embed_dim=4, task="next_token")
+        params = init_params(cfg, 0)
+        x = seq([2, 3, 4, 0], 3)
+        ids, lens = np.asarray(x.ids)[None, :], np.array([3])
+        assert loss(params, x) == _per_example_losses(params, ids, lens, None)[0]
+        with pytest.raises(ValueError, match="no label"):
+            loss(params, x, [2, 3, 4, 0])
+
 
 class TestGradients:
     @pytest.mark.parametrize("task", ["classification", "next_token"])
