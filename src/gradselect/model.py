@@ -401,6 +401,7 @@ def batch_loss_and_grads(
     cfg = params.config
     dtype = params.embedding.dtype
     n = ids.shape[0]
+    ids = _unpad(ids, lens)
     context, z, logp, targets, mask = _head_positions(params, ids, lens, labels)
     loss_val = float(_example_nll(logp, targets, mask).mean())
     # The residual keeps the head's dtype: float64 for classification, float32
@@ -419,13 +420,14 @@ def batch_loss_and_grads(
         grads["hidden_w"] = da.T @ context.reshape(-1, h)
         grads["hidden_b"] = da.sum(axis=0)
         dcontext = da @ params.hidden_w
-    dcontext = dcontext.reshape(context.shape)
     # The backward of the pooling scatters into the embedding rows of the tokens.
     if cfg.task == TASK_CLASSIFICATION:
+        # One position per document: each valid token gets its document's row / len.
         rows, cols = np.nonzero(np.arange(ids.shape[1])[None, :] < lens[:, None])
-        contrib = dcontext[rows, 0] / lens[rows, None].astype(dtype)
+        contrib = (dcontext / lens[:, None].astype(dtype))[rows]
     else:
-        dcsum = dcontext / np.arange(1, mask.shape[1] + 1, dtype=dtype)[None, :, None]
+        counts = np.arange(1, ids.shape[1], dtype=dtype)
+        dcsum = dcontext.reshape(context.shape) / counts[None, :, None]
         # token at position u feeds every context t >= u: suffix-sum over t
         dpos = np.flip(np.cumsum(np.flip(dcsum, axis=1), axis=1), axis=1)
         rows, cols = np.nonzero(mask)
