@@ -3,7 +3,8 @@
 Each config is the ``cls`` or ``lm`` benchmark pipeline shape at the smoke-test
 sizes (300 task documents, a 600-document pool, M=40, k=64), run for seed 0
 with every default method of its task. ``cls_hidden`` and ``lm_hidden`` are
-the same configs with the tanh hidden layer on. The gate compares, against
+the same configs with the tanh hidden layer on. ``cls_wide`` is ``cls`` at
+k=512, wider than its D=132 head gradient. The gate compares, against
 ``tests/golden/<name>.json``:
 
 - the selected indices of every method: exact;
@@ -36,7 +37,7 @@ from gradselect.toycorpus import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 LM_RTOL = 1e-6
-NAMES = ("cls", "lm", "cls_hidden", "lm_hidden")
+NAMES = ("cls", "lm", "cls_hidden", "lm_hidden", "cls_wide")
 
 
 def _config(name: str, dest: Path) -> ExperimentConfig:
@@ -56,6 +57,8 @@ def _config(name: str, dest: Path) -> ExperimentConfig:
         extra = {"seq_len": 32}
     if name.endswith("_hidden"):
         model["hidden_layer"] = True
+    if name.endswith("_wide"):
+        extra["projection_dim"] = 512
     save_jsonl(task, dest / "task.jsonl")
     save_jsonl(pool, dest / "pool.jsonl")
     return ExperimentConfig.from_dict(
