@@ -117,8 +117,8 @@ def cmd_stage(args) -> int:
     if stage == "build-store":
         shutil.copyfile(store.path, out / "store.selg")
         print(
-            f"store: {store.num_examples} examples x k={store.k} "
-            f"x P={store.num_checkpoints} -> {out / 'store.selg'}"
+            f"store: {store.num_examples} examples x k={config.projection_dim} "
+            f"(stored width {store.k}) x P={store.num_checkpoints} -> {out / 'store.selg'}"
         )
         return 0
     subdirs = {"select": ["selections"], "retrain": ["retrained", "reports"], "metrics": ["reports"]}
@@ -129,7 +129,9 @@ def cmd_stage(args) -> int:
         docs = harness.selected_documents(pool, result, artifacts.pseudolabels)
         if stage == "select":
             path = out / "selections" / f"{method}.json"
-            write_selection(result, path, config.num_checkpoints, store.k, [ctx.run_seed])
+            write_selection(
+                result, path, config.num_checkpoints, config.projection_dim, [ctx.run_seed]
+            )
             save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
             print(f"{method}: {len(result.indices)} documents selected")
         elif stage == "retrain":

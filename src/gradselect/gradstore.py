@@ -1,14 +1,24 @@
 """Projected per-example last-layer gradients, stored on disk.
 
 The last layer of the victim model (head weight + bias) has dimension
-n = D*h + D, which is too large to keep per example once pools reach web
-scale. Each gradient is therefore sketched to k dimensions with a seeded
-Rademacher projection whose (row, column) entries are defined by a
-counter-based hash, so the projection matrix is never materialized and any
-row can be regenerated exactly.
+D = C*h + C, which is too large to keep per example once pools reach web
+scale. Each gradient g is therefore sketched as A^T g, with A (D x k) =
+S/sqrt(k) a seeded Rademacher projection whose (row, column) sign entries
+S are defined by a counter-based hash, so any row of S can be regenerated
+exactly.
+
+Rows have width min(k, D). For k < D a row is the sketch A^T g itself. For
+k >= D a k-wide sketch would only add bytes, so a row is W g instead, with
+W (D x D) any root of W^T W = A A^T: then <W g_i, W g_j> = g_i^T A A^T g_j
+= <A^T g_i, A^T g_j> in exact arithmetic. Every quantity a selector reads
+is such an inner product (the static pass <row, d_j>, |row|^2, the cross
+term against a sum of rows, the direction norms), and the directions go
+through the same map, so a store of D-wide rows selects what the k-wide
+sketch would. ``Projection.output_dim`` keeps the requested k; the header's
+``k`` (``GradientStore.k``) is the stored width.
 
 Store layout (little-endian): magic "SELG", u32 version, u32 header length,
-JSON header, then one contiguous (num_examples x k) float32 block per
+JSON header, then one contiguous (num_examples x width) float32 block per
 checkpoint, then two float32 aux blocks of length num_examples (loss under
 the final model, pseudolabel; -1 where no label applies). The header holds
 the fingerprint of every checkpoint and, from ``build_store``, of the final
@@ -68,7 +78,8 @@ class Projection:
 
     Entry (r, c) is the c-th sign bit of a Philox stream keyed by
     (seed, r), so rows can be regenerated independently and identically
-    regardless of block sizes.
+    regardless of block sizes. ``project`` maps into ``width`` =
+    min(input_dim, output_dim) dimensions.
     """
 
     input_dim: int
@@ -77,10 +88,15 @@ class Projection:
     _packed: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
+    _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("projection dimensions must be positive")
+
+    @property
+    def width(self) -> int:
+        return min(self.input_dim, self.output_dim)
 
     def _packed_bits(self) -> np.ndarray:
         """Cached (input_dim, ceil(k/8)) packed sign bits."""
@@ -96,11 +112,26 @@ class Projection:
             self._packed = packed
         return self._packed
 
-    def sign_block(self, r_start: int, r_stop: int) -> np.ndarray:
-        """Dense float64 +-1 sign rows for input dimensions [r_start, r_stop)."""
+    def sign_block(self, r_start: int, r_stop: int, dtype=np.float64) -> np.ndarray:
+        """Dense +-1 sign rows for input dimensions [r_start, r_stop)."""
         packed = self._packed_bits()[r_start:r_stop]
         bits = np.unpackbits(packed, axis=1, bitorder="little")[:, : self.output_dim]
-        return 1.0 - 2.0 * bits.astype(np.float64)
+        return 1.0 - 2.0 * bits.astype(dtype)
+
+    def gram_root(self) -> np.ndarray:
+        """Cached (D, D) W = Lambda^1/2 V^T with W^T W = A A^T (the k >= D map).
+
+        ``eigh`` of the integer Gram matrix S S^T, divided by k. S S^T is
+        formed in float32, which holds every partial sum exactly for k up to
+        2**24. S can be singular at k = D; its zero eigenvalues round to
+        about -1e-15 and are clipped to 0.
+        """
+        if self._root is None:
+            signs = self.sign_block(0, self.input_dim, np.float32)
+            gram = (signs @ signs.T).astype(np.float64)
+            lam, vecs = np.linalg.eigh(gram / self.output_dim)
+            self._root = np.sqrt(np.clip(lam, 0.0, None))[:, None] * vecs.T
+        return self._root
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +150,11 @@ class Projection:
 
 
 def project(vec: np.ndarray, proj: Projection) -> np.ndarray:
-    """Apply the sketch to one (n,) vector or a (m, n) batch; returns float64."""
+    """Map one (D,) vector or an (m, D) batch to ``proj.width`` dims; float64.
+
+    k < D: the sketch A^T g. k >= D: W g, which has the sketch's inner
+    products (see the module docstring).
+    """
     arr = np.asarray(vec, dtype=np.float64)
     single = arr.ndim == 1
     if single:
@@ -129,11 +164,14 @@ def project(vec: np.ndarray, proj: Projection) -> np.ndarray:
             f"vector dimension {arr.shape[1]} does not match projection "
             f"input_dim {proj.input_dim}"
         )
-    out = np.zeros((arr.shape[0], proj.output_dim))
-    for r0 in range(0, proj.input_dim, _PROJECT_BLOCK_ROWS):
-        r1 = min(r0 + _PROJECT_BLOCK_ROWS, proj.input_dim)
-        out += arr[:, r0:r1] @ proj.sign_block(r0, r1)
-    out /= np.sqrt(proj.output_dim)
+    if proj.output_dim >= proj.input_dim:
+        out = arr @ proj.gram_root().T
+    else:
+        out = np.zeros((arr.shape[0], proj.output_dim))
+        for r0 in range(0, proj.input_dim, _PROJECT_BLOCK_ROWS):
+            r1 = min(r0 + _PROJECT_BLOCK_ROWS, proj.input_dim)
+            out += arr[:, r0:r1] @ proj.sign_block(r0, r1)
+        out /= np.sqrt(proj.output_dim)
     return out[0] if single else out
 
 
@@ -237,7 +275,7 @@ class GradientStore:
         self._last_scores: tuple = (None, None)
 
     def block(self, j: int) -> np.ndarray:
-        """Memory-mapped (num_examples, k) view for checkpoint j."""
+        """Memory-mapped (num_examples, k) view for checkpoint j (k = stored width)."""
         if not 0 <= j < self.num_checkpoints:
             raise IndexError(f"checkpoint index {j} out of range")
         size = self.num_examples * self.k
@@ -285,7 +323,7 @@ def _write_header(
 ) -> None:
     header = {
         "num_examples": num_examples,
-        "k": proj.output_dim,
+        "k": proj.width,
         "P": num_checkpoints,
         "projection": proj.to_dict(),
         "checkpoint_fingerprints": list(fingerprints),
@@ -314,8 +352,8 @@ def write_store(
     n, k = blocks[0].shape
     if any(b.shape != (n, k) for b in blocks):
         raise ValueError("all checkpoint blocks must share one shape")
-    if k != proj.output_dim:
-        raise ValueError("block width does not match projection output_dim")
+    if k != proj.width:
+        raise ValueError("block width does not match projection width")
     labels = (
         np.full(n, -1.0, dtype=np.float32)
         if pseudolabels is None

@@ -501,6 +501,9 @@ def gradient_stage(
 
     def open_cached(path: Path) -> GradientStore:
         cached = GradientStore(path)
+        # Earlier versions stored k-wide rows for k >= D under the same key.
+        if cached.k != proj.width:
+            raise ValueError(f"cached store width {cached.k} is not {proj.width}")
         if cached.fingerprints != [c.fingerprint() for c in checkpoints]:
             raise ValueError("cached store was built from other checkpoints")
         # The final losses and pseudolabels come from theta_f, which the
@@ -572,7 +575,7 @@ def run_selection(
             artifacts.store, artifacts.dirs, num_select, method, seed=ctx.run_seed
         )
     write_selection(
-        result, path, config.num_checkpoints, artifacts.store.k, [ctx.run_seed]
+        result, path, config.num_checkpoints, config.projection_dim, [ctx.run_seed]
     )
     return result
 

@@ -154,7 +154,7 @@ def test_criterion_02_greedy_dot_equals_topk(tmp_path, monkeypatch):
         # Three read slices per store, so the scans cross slice boundaries.
         monkeypatch.setattr(gradstore, "_READ_BLOCK_ROWS", max(1, n // 3))
         store = write_store(
-            tmp_path / f"i{t}.selg", blocks, np.zeros(n), None, Projection(8, k, seed=0)
+            tmp_path / f"i{t}.selg", blocks, np.zeros(n), None, Projection(k, k, seed=0)
         )
         greedy = select_greedy(store, dirs, m, rule="dot")
         topk = select_baseline(store, dirs, m, "topk")

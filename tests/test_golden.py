@@ -10,7 +10,14 @@ k=512, wider than its D=132 head gradient. The gate compares, against
 - the selected indices of every method: exact;
 - the step scores of every method and every row metric: exact for the ``cls``
   configs, within ``LM_RTOL`` relative for the ``lm`` ones (next-token training
-  sums float32 terms whose order a kernel change may move; 7e-8 has been seen).
+  sums float32 terms whose order a kernel change may move; 7e-8 has been seen);
+- ``cls_wide`` step scores within ``WIDE_STEP_RTOL`` relative. Its store
+  holds the D-wide rows W g in place of the k-wide sketch (``gradstore``
+  module docstring), which has the same inner products in exact arithmetic
+  but rounds to float32 elsewhere. A baseline's step score is one row's
+  <row, d>, so a score near zero carries the absolute rounding of the whole
+  product: 7e-7 relative was seen on a score 1/100 of the largest, 4e-8 on
+  the greedy objectives. Its indices and rows stay exact.
 
 A refactor must pass this gate with no golden file edited. A change that moves
 the output on purpose regenerates the files with
@@ -37,6 +44,7 @@ from gradselect.toycorpus import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 LM_RTOL = 1e-6
+WIDE_STEP_RTOL = 1e-6
 NAMES = ("cls", "lm", "cls_hidden", "lm_hidden", "cls_wide")
 
 
@@ -121,7 +129,9 @@ def test_matches_golden(tmp_path, name):
     for method, sel in want["selections"].items():
         assert got["selections"][method]["indices"] == sel["indices"], method
     rtol = LM_RTOL if name.startswith("lm") else 0.0
-    _assert_matches(got, want, rtol, name)
+    _assert_matches(got["rows"], want["rows"], rtol, f"{name}.rows")
+    step_rtol = WIDE_STEP_RTOL if name.endswith("_wide") else rtol
+    _assert_matches(got["selections"], want["selections"], step_rtol, f"{name}.selections")
 
 
 if __name__ == "__main__":

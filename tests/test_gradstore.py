@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import pearsonr
 
@@ -183,6 +183,34 @@ class TestProjection:
         with pytest.raises(ValueError, match="dimension"):
             project(np.zeros(10), Projection(11, 4, seed=0))
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        dims=st.integers(1, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, 4 * d))),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 1000),
+    )
+    # Singular sign matrices: (D, k, seed) = (2, 2, 0), (2, 3, 5), (4, 4, 0).
+    @example(dims=(1, 1), n=2, seed=0)
+    @example(dims=(2, 2), n=3, seed=0)
+    @example(dims=(2, 3), n=3, seed=5)
+    @example(dims=(4, 4), n=5, seed=0)
+    def test_wide_sketch_stored_at_width_d_keeps_inner_products(self, dims, n, seed):
+        dim, k = dims
+        proj = Projection(dim, k, seed=seed)
+        assert proj.width == dim
+        g = np.random.default_rng(seed).standard_normal((n, dim))
+        rows = project(g, proj)
+        sketch = g @ proj.sign_block(0, dim) / np.sqrt(k)
+        assert rows.shape == (n, dim)
+        norms = np.linalg.norm(g, axis=1)
+        gap = np.abs(rows @ rows.T - sketch @ sketch.T)
+        assert (gap <= 1e-10 * np.outer(norms, norms)).all()
+        with tempfile.TemporaryDirectory() as tmp:
+            store = write_store(Path(tmp) / "s.selg", [rows], np.zeros(n), None, proj)
+            assert store.k == proj.width
+            assert store.block(0).shape == (n, proj.width)
+            assert store.projection.output_dim == k
+
     @pytest.mark.parametrize("k", [512, 1024, 4096])
     def test_inner_product_preservation(self, k):
         rng = np.random.default_rng(k)
@@ -262,7 +290,8 @@ class TestBuildStore:
         )
         assert store.num_checkpoints == 1
         assert store.num_examples == 3
-        assert store.block(0).shape == (3, 16)
+        # D = 3*4 + 3 = 15 < k = 16: rows are stored 15 wide
+        assert store.block(0).shape == (3, 15)
 
     def test_rebuild_bit_identical(self, tmp_path):
         schedule, batch, labels, theta_f, proj = self._setup(num_checkpoints=2, n=20)
@@ -377,7 +406,7 @@ class TestScanScores:
         blocks = [np.asarray(b, dtype=np.float32) for b in blocks]
         n, k = blocks[0].shape
         losses = np.zeros(n) if losses is None else losses
-        return write_store(tmp_path / "s.selg", blocks, losses, labels, Projection(8, k, seed=0))
+        return write_store(tmp_path / "s.selg", blocks, losses, labels, Projection(k, k, seed=0))
 
     def test_dot_products(self, tmp_path):
         store = self._store(tmp_path, [[[1, 0], [0, 1]]])
@@ -418,7 +447,7 @@ class TestStoreScores:
         blocks = [rng.standard_normal((n, k)).astype(np.float32) for _ in range(p)]
         dirs = [rng.standard_normal(k) for _ in range(p)]
         store = write_store(
-            Path(tmp_dir) / "s.selg", blocks, np.zeros(n), None, Projection(8, k, seed=0)
+            Path(tmp_dir) / "s.selg", blocks, np.zeros(n), None, Projection(k, k, seed=0)
         )
         return store, blocks, dirs
 
@@ -503,7 +532,7 @@ class TestStoreLayout:
         with tempfile.TemporaryDirectory() as tmp:
             path, old = Path(tmp) / "s.selg", Path(tmp) / "old.selg"
             store = write_store(
-                path, blocks, losses, labels, Projection(8, k), fingerprints=[fingerprint] * p
+                path, blocks, losses, labels, Projection(k, k), fingerprints=[fingerprint] * p
             )
             assert data_offset(path) % 64 == 0
             write_legacy_store(path, old)

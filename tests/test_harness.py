@@ -6,9 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gradselect import harness
+from gradselect import gradstore, harness
 from gradselect.cli import main as cli_main
 from gradselect.corpus import save_jsonl
+from gradselect.gradstore import GradientStore
 from gradselect.model import OptimizerConfig
 from gradselect.harness import (
     EXPERIMENT_KINDS,
@@ -259,6 +260,54 @@ class TestPipeline:
         with caplog.at_level("WARNING", logger="gradselect.harness"):
             second = run_pipeline(config)
         assert "other checkpoints" in caplog.text
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+        assert store.read_bytes() == intact
+
+    def test_wide_sketch_keeps_requested_k(self, tmp_path):
+        # D = 4*16 + 4 = 68 < k = 128: rows are stored 68 wide, k stays 128
+        config = base_config(tmp_path, methods=["select", "random"], seeds=[0], projection_dim=128)
+        bundle = run_pipeline(config)
+        assert not bundle.provenance["errors"]
+        assert [r["k"] for r in bundle.rows] == [128, 128]
+        cache = Workspace(config.out_dir).cache_dir
+        (store,) = cache.glob("store-*.selg")
+        opened = GradientStore(store)
+        assert (opened.k, opened.projection.output_dim) == (68, 128)
+        sels = [json.loads(p.read_text()) for p in cache.glob("sel-*.json")]
+        assert sorted(sel["method"] for sel in sels) == ["random", "select"]
+        assert all(sel["k"] == 128 for sel in sels)
+
+    def test_k_wide_cached_store_is_rebuilt(self, tmp_path, caplog, monkeypatch):
+        config = base_config(tmp_path, methods=["select", "random"], seeds=[0], projection_dim=128)
+        first = run_pipeline(config)
+        cache = Workspace(config.out_dir).cache_dir
+        (store,) = cache.glob("store-*.selg")
+        intact = store.read_bytes()
+
+        # The store an earlier version wrote under the same key: k-wide
+        # sketch rows A^T g, with the right fingerprints.
+        def k_wide_sketch(vec, proj):
+            arr = np.asarray(vec, dtype=np.float64)
+            return arr @ proj.sign_block(0, proj.input_dim) / np.sqrt(proj.output_dim)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gradstore, "project", k_wide_sketch)
+            patch.setattr(gradstore.Projection, "width", property(lambda p: p.output_dim))
+            other = base_config(
+                tmp_path, methods=["select"], seeds=[0], projection_dim=128,
+                out_dir=str(tmp_path / "other"),
+            )
+            assert not run_pipeline(other).provenance["errors"]
+        (stale,) = Workspace(other.out_dir).cache_dir.glob("store-*.selg")
+        assert stale.name == store.name
+        assert GradientStore(stale).k == 128
+        store.write_bytes(stale.read_bytes())
+        for sel in cache.glob("sel-*.json"):
+            sel.unlink()
+        with caplog.at_level("WARNING", logger="gradselect.harness"):
+            second = run_pipeline(config)
+        assert "width 128 is not 68" in caplog.text
         assert not second.provenance["errors"]
         assert second.rows == first.rows
         assert store.read_bytes() == intact
@@ -660,6 +709,15 @@ class TestCLI:
         assert (out / "retrained" / "select.ckpt").exists()
         report = json.loads((out / "reports" / "select.json").read_text())
         assert "vocab_containment" in report and "ot" in report
+
+    def test_wide_sketch_select_reports_requested_k(self, tmp_path, capsys):
+        path, config = self._config_file(tmp_path, projection_dim=128)
+        assert cli_main(["build-store", "--config", str(path)]) == 0
+        assert cli_main(["select", "--config", str(path), "--method", "select"]) == 0
+        assert "k=128 (stored width 68)" in capsys.readouterr().out
+        out = tmp_path / "run"
+        assert GradientStore(out / "store.selg").k == 68
+        assert json.loads((out / "selections" / "select.json").read_text())["k"] == 128
 
     def test_experiment_command(self, tmp_path):
         path, config = self._config_file(tmp_path)

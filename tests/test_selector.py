@@ -37,7 +37,7 @@ def make_store(tmp_path, blocks, losses=None, labels=None, name="s.selg"):
     blocks = [np.asarray(b, dtype=np.float32) for b in blocks]
     n, k = blocks[0].shape
     losses = np.arange(n, dtype=np.float64) if losses is None else np.asarray(losses)
-    return write_store(tmp_path / name, blocks, losses, labels, Projection(8, k, seed=0))
+    return write_store(tmp_path / name, blocks, losses, labels, Projection(k, k, seed=0))
 
 
 class TestSynthCheckpoints:
