@@ -3,13 +3,14 @@
 The stage commands (train-victim, autolabel, build-store, select, retrain,
 metrics) are the steps of one chain on the config's first seed: prepare_run
 (split, vocabulary, victim), build_candidate_pool, autolabel, gradient_stage
-(store), run_selection, then retraining or scoring the selection. One
-function, ``cmd_stage``, runs the chain up to the named stage and writes that
-stage's artifacts under the config's out_dir. Run in sequence, each command
-re-runs the prefix before it, which the content-addressed cache turns into
-reads of the victim, store and selections that earlier commands wrote. The
-experiment command runs a whole grid and emits report.json / report.csv /
-figures.
+(store), run_selection, then retraining or scoring the selection. The chain
+autolabels the pool only to build the store; later commands read the
+pseudolabels from its aux block. One function, ``cmd_stage``, runs the chain
+up to the named stage and writes that stage's artifacts under the config's
+out_dir. Run in sequence, each command re-runs the prefix before it, which the
+content-addressed cache turns into reads of the victim, store and selections
+that earlier commands wrote. The experiment command runs a whole grid and
+emits report.json / report.csv / figures.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def cmd_stage(args) -> int:
         (out / sub).mkdir(exist_ok=True)
     for method in _methods_arg(config, args.method):
         result = harness.run_selection(config, ctx, artifacts, method, workspace)
-        docs = harness.selected_documents(pool, result, artifacts.pseudolabels)
+        docs = harness.selected_documents(pool, result, store)
         if stage == "select":
             path = out / "selections" / f"{method}.json"
             write_selection(

@@ -17,13 +17,14 @@ through the same map, so a store of D-wide rows selects what the k-wide
 sketch would. ``Projection.output_dim`` keeps the requested k; the header's
 ``k`` (``GradientStore.k``) is the stored width.
 
-Store layout (little-endian): magic "SELG", u32 version, u32 header length,
-JSON header, then one contiguous (num_examples x width) float32 block per
-checkpoint, then two float32 aux blocks of length num_examples (loss under
-the final model, pseudolabel; -1 where no label applies). The header holds
-the fingerprint of every checkpoint and, from ``build_store``, of the final
-model the aux blocks came from. Headers written with a ``chunk_rows`` field
-still open; the field is ignored.
+Store layout (little-endian), written only by ``write_store``: magic "SELG",
+u32 version, u32 header length, JSON header, then one contiguous
+(num_examples x width) float32 block per checkpoint, then two float32 aux
+blocks of length num_examples (loss under the final model, pseudolabel; -1
+where no label applies). The header holds the fingerprint of every
+checkpoint and, from ``build_store``, of the final model the aux blocks came
+from. Headers written with a ``chunk_rows`` field still open; the field is
+ignored.
 
 Every selector scores a store through ``GradientStore.scores``: one fused
 float64 pass over each block, in slices of ``_READ_BLOCK_ROWS`` rows, gives
@@ -45,7 +46,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -313,20 +314,32 @@ class GradientStore:
         return self._last_scores[1]
 
 
-def _write_header(
-    fh,
-    num_examples: int,
+def write_store(
+    path: str | Path,
+    blocks: Sequence[np.ndarray | Iterable[np.ndarray]],
+    final_losses: np.ndarray,
+    pseudolabels: np.ndarray | None,
     proj: Projection,
-    num_checkpoints: int,
-    fingerprints: Sequence[str],
+    fingerprints: Sequence[str] | None = None,
     final_fingerprint: str | None = None,
-) -> None:
+) -> GradientStore:
+    """Write a store file of n = len(final_losses) examples (the one writer).
+
+    ``blocks[j]`` is checkpoint j's rows: an (n, width) array or an iterable
+    of (rows, width) slabs. ``atomic_write`` keeps a crash mid-write from
+    leaving a truncated store at ``path``.
+    """
+    losses = np.asarray(final_losses, dtype="<f4")
+    n = len(losses)
+    labels = np.asarray(np.full(n, -1.0) if pseudolabels is None else pseudolabels, "<f4")
+    if labels.shape != (n,):
+        raise ValueError("need one pseudolabel per example")
     header = {
-        "num_examples": num_examples,
+        "num_examples": n,
         "k": proj.width,
-        "P": num_checkpoints,
+        "P": len(blocks),
         "projection": proj.to_dict(),
-        "checkpoint_fingerprints": list(fingerprints),
+        "checkpoint_fingerprints": list(fingerprints or [""] * len(blocks)),
         "aux": ["final_loss", "pseudolabel"],
         "dtype": "float32",
     }
@@ -334,37 +347,21 @@ def _write_header(
         header["final_fingerprint"] = final_fingerprint
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     header_bytes += b" " * (-(12 + len(header_bytes)) % _DATA_ALIGN)
-    fh.write(STORE_MAGIC)
-    fh.write(struct.pack("<II", STORE_VERSION, len(header_bytes)))
-    fh.write(header_bytes)
-
-
-def write_store(
-    path: str | Path,
-    blocks: Sequence[np.ndarray],
-    final_losses: np.ndarray,
-    pseudolabels: np.ndarray | None,
-    proj: Projection,
-    fingerprints: Sequence[str] | None = None,
-) -> GradientStore:
-    """Write dense in-memory blocks as a store file (used for small pools/tests)."""
-    blocks = [np.asarray(b, dtype=np.float32) for b in blocks]
-    n, k = blocks[0].shape
-    if any(b.shape != (n, k) for b in blocks):
-        raise ValueError("all checkpoint blocks must share one shape")
-    if k != proj.width:
-        raise ValueError("block width does not match projection width")
-    labels = (
-        np.full(n, -1.0, dtype=np.float32)
-        if pseudolabels is None
-        else np.asarray(pseudolabels, dtype=np.float32)
-    )
     with atomic_write(path) as fh:
-        _write_header(fh, n, proj, len(blocks), fingerprints or [""] * len(blocks))
-        for b in blocks:
-            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(final_losses, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(labels, dtype="<f4").tobytes())
+        fh.write(STORE_MAGIC)
+        fh.write(struct.pack("<II", STORE_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        for block in blocks:
+            rows = 0
+            for slab in [block] if isinstance(block, np.ndarray) else block:
+                if slab.shape[1:] != (proj.width,):
+                    raise ValueError("block width does not match projection width")
+                fh.write(np.ascontiguousarray(slab, dtype="<f4").tobytes())
+                rows += len(slab)
+            if rows != n:
+                raise ValueError(f"checkpoint block has {rows} rows for {n} examples")
+        fh.write(losses.tobytes())
+        fh.write(labels.tobytes())
     return GradientStore(path)
 
 
@@ -380,9 +377,7 @@ def build_store(
 
     Gradients are taken against pseudolabels (next-token uses the sequence
     itself); the loss of each example under theta_f is cached alongside so
-    likelihood baselines need no second pass. The file is written under a
-    temporary name and renamed into place (``atomic_write``), so a crash
-    mid-write never leaves a truncated store at ``path``.
+    likelihood baselines need no second pass.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
@@ -405,33 +400,25 @@ def build_store(
 
     ids = np.asarray(batch.ids, dtype=np.int64)
     lens = np.asarray(batch.valid_len, dtype=np.int64)
+    spans = [slice(s0, s0 + _COMPUTE_BATCH) for s0 in range(0, n, _COMPUTE_BATCH)]
+    parts = [(ids[s], lens[s], None if labels is None else labels[s]) for s in spans]
     losses = np.empty(n, dtype=np.float32)
-    for s0 in range(0, n, _COMPUTE_BATCH):
-        s1 = min(s0 + _COMPUTE_BATCH, n)
-        losses[s0:s1] = _per_example_losses(
-            theta_f, ids[s0:s1], lens[s0:s1], None if labels is None else labels[s0:s1]
-        ).astype(np.float32)
+    for s, part in zip(spans, parts):
+        losses[s] = _per_example_losses(theta_f, *part)
 
-    fingerprints = [c.fingerprint() for c in checkpoints]
-    with atomic_write(path) as fh:
-        _write_header(fh, n, proj, len(checkpoints), fingerprints, theta_f.fingerprint())
-        for ckpt in checkpoints:
-            for s0 in range(0, n, _COMPUTE_BATCH):
-                s1 = min(s0 + _COMPUTE_BATCH, n)
-                grads = _last_layer_grad_batch(
-                    ckpt,
-                    ids[s0:s1],
-                    lens[s0:s1],
-                    None if labels is None else labels[s0:s1],
-                )
-                rows = project(grads, proj).astype(np.float32)
-                fh.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-        fh.write(losses.astype("<f4").tobytes())
-        if labels is None:
-            fh.write(np.full(n, -1.0, dtype="<f4").tobytes())
-        else:
-            fh.write(labels.astype("<f4").tobytes())
-    return GradientStore(path)
+    def slabs(ckpt: ModelParams):
+        for part in parts:
+            yield project(_last_layer_grad_batch(ckpt, *part), proj)
+
+    return write_store(
+        path,
+        [slabs(ckpt) for ckpt in checkpoints],
+        losses,
+        labels,
+        proj,
+        [c.fingerprint() for c in checkpoints],
+        theta_f.fingerprint(),
+    )
 
 
 def scan_scores(store: GradientStore, dirs: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,8 +5,9 @@ config's kind and ``params`` into a grid of cells, each carrying its own
 config (M as ``selection_size``, k as ``projection_dim``, task and seed
 corpora, victim and retrain optimizers). Every cell runs one chain: split the
 task corpus and train (or reuse) the victim, build the candidate pool,
-autolabel it with the final model, build the projected gradient store, select
-with each of the cell's methods, retrain each selection from the base
+autolabel it with the final model and build the projected gradient store
+(on a store cache hit neither runs: the labels are read from the store),
+select with each of the cell's methods, retrain each selection from the base
 checkpoint, and score recovery.
 
 One job per seed runs every cell of that seed; a failing cell lands in
@@ -458,7 +459,6 @@ def autolabel_pool(
 class GradientArtifacts:
     store: GradientStore
     dirs: list[np.ndarray]
-    pseudolabels: np.ndarray | None
 
 
 def gradient_stage(
@@ -467,7 +467,10 @@ def gradient_stage(
     pool: DocumentSet,
     workspace: Workspace,
 ) -> GradientArtifacts:
-    """Autolabel the pool, build (or reuse) the store, compute directions.
+    """Build (or reuse) the pool's store and compute the directions.
+
+    The pool is encoded and autolabeled only to build the store; after that
+    its pseudolabels are read back from the store's aux block.
 
     The directions handed to the selector are the projected last-layer diffs
     oriented from the final model toward each synthetic checkpoint
@@ -476,7 +479,6 @@ def gradient_stage(
     data highest.
     """
     k = config.projection_dim
-    batch, pseudolabels = autolabel_pool(config, ctx, pool)
     checkpoints = _stage(
         "synth-checkpoints",
         synth_checkpoints,
@@ -510,6 +512,11 @@ def gradient_stage(
         # checkpoint fingerprints miss at P=1. A header without it is stale.
         if cached.header.get("final_fingerprint") != ctx.theta_f.fingerprint():
             raise ValueError("cached store was built from other checkpoints (final model)")
+        # The store is the only record of the pool's pseudolabels.
+        if cached.num_examples != len(pool):
+            raise ValueError(f"cached store has {cached.num_examples} rows, pool {len(pool)}")
+        if model_cfg.task == TASK_CLASSIFICATION and not cached.has_labels:
+            raise ValueError("cached classification store has no pseudolabels")
         return cached
 
     store = None
@@ -523,6 +530,7 @@ def gradient_stage(
                 raise
             logger.warning("rebuilding unusable cached store: %s", exc)
     if store is None:
+        batch, pseudolabels = autolabel_pool(config, ctx, pool)
         store = _stage(
             "build-store",
             build_store,
@@ -534,7 +542,7 @@ def gradient_stage(
             store_path,
         )
     dirs = [-direction(ckpt, ctx.theta_f, proj) for ckpt in checkpoints]
-    return GradientArtifacts(store=store, dirs=dirs, pseudolabels=pseudolabels)
+    return GradientArtifacts(store=store, dirs=dirs)
 
 
 def run_selection(
@@ -581,13 +589,12 @@ def run_selection(
 
 
 def selected_documents(
-    pool: DocumentSet,
-    result: SelectionResult,
-    pseudolabels: np.ndarray | None,
+    pool: DocumentSet, result: SelectionResult, store: GradientStore
 ) -> DocumentSet:
+    """The selected pool documents, with their pseudolabels from the store if it has them."""
     docs = pool.subset(result.indices)
-    if pseudolabels is not None:
-        docs = docs.with_labels(pseudolabels[list(result.indices)])
+    if store.has_labels:
+        docs = docs.with_labels(store.pseudolabels[list(result.indices)])
     return docs
 
 
@@ -771,7 +778,7 @@ def _cell_rows(
             selected = ctx.train_docs
         else:
             result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
-            selected = selected_documents(pool, result, artifacts.pseudolabels)
+            selected = selected_documents(pool, result, artifacts.store)
         if config.experiment == "metric_ablation":
             rows.extend(_replace_trial_rows(config, ctx, selected))
             continue

@@ -401,6 +401,75 @@ class TestBuildStore:
             build_store(schedule, batch, None, theta_f, proj, tmp_path / "s.selg")
 
 
+class TestSingleWriter:
+    """``build_store`` hands its rows to ``write_store``, the one writer."""
+
+    @staticmethod
+    def _built(tmp_path, task, num_checkpoints, wide):
+        cfg = ModelConfig(vocab_size=15, embed_dim=4, num_classes=3, task=task)
+        theta0, theta_f = init_params(cfg, 0), init_params(cfg, 1)
+        schedule = synth_checkpoints(theta0, theta_f, num_checkpoints)
+        rng = np.random.default_rng(11)
+        batch = rand_batch(rng, 300, cfg.vocab_size)
+        labels = rng.integers(0, 3, 300) if task == "classification" else None
+        k = 2 * cfg.last_layer_dim if wide else cfg.last_layer_dim // 2
+        proj = Projection(cfg.last_layer_dim, k, seed=5)
+        path = tmp_path / "built.selg"
+        return build_store(schedule, batch, labels, theta_f, proj, path), path
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("num_checkpoints", [1, 2])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_rewrite_of_a_built_store_is_byte_identical(
+        self, tmp_path, task, num_checkpoints, wide
+    ):
+        built, path = self._built(tmp_path, task, num_checkpoints, wide)
+        assert (built.k < built.projection.output_dim) == wide
+        assert built.has_labels == (task == "classification")
+        copy = tmp_path / "copy.selg"
+        write_store(
+            copy,
+            [built.block(j) for j in range(built.num_checkpoints)],
+            built.final_losses,
+            built.pseudolabels,
+            built.projection,
+            built.fingerprints,
+            built.header["final_fingerprint"],
+        )
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_slabs_write_the_dense_bytes(self, tmp_path):
+        built, path = self._built(tmp_path, "classification", 2, False)
+        def slabs(block):
+            yield from (block[s : s + 7] for s in range(0, len(block), 7))
+
+        copy = tmp_path / "copy.selg"
+        write_store(
+            copy,
+            [slabs(built.block(j)) for j in range(2)],
+            built.final_losses,
+            built.pseudolabels,
+            built.projection,
+            built.fingerprints,
+            built.header["final_fingerprint"],
+        )
+        assert copy.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "blocks,labels,message",
+        [
+            ([np.zeros((5, 4)), np.zeros((5, 3))], None, "width"),
+            ([np.zeros((5, 4)), np.zeros((4, 4))], None, "4 rows for 5"),
+            ([iter([np.zeros((3, 4)), np.zeros((3, 4))])], None, "6 rows for 5"),
+            ([np.zeros((5, 4))], np.zeros(4), "one pseudolabel per example"),
+        ],
+    )
+    def test_bad_input_rejected_and_nothing_written(self, tmp_path, blocks, labels, message):
+        with pytest.raises(ValueError, match=message):
+            write_store(tmp_path / "s.selg", blocks, np.zeros(5), labels, Projection(4, 4))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScanScores:
     def _store(self, tmp_path, blocks, losses=None, labels=None):
         blocks = [np.asarray(b, dtype=np.float32) for b in blocks]

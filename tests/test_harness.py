@@ -312,6 +312,57 @@ class TestPipeline:
         assert second.rows == first.rows
         assert store.read_bytes() == intact
 
+    @pytest.mark.parametrize(
+        "defect,message",
+        [("no_labels", "no pseudolabels"), ("short", "rows, pool")],
+    )
+    def test_cached_store_without_the_pools_labels_is_rebuilt(
+        self, tmp_path, caplog, defect, message
+    ):
+        config = base_config(tmp_path, methods=["select", "random"], seeds=[0])
+        first = run_pipeline(config)
+        (store,) = Workspace(config.out_dir).cache_dir.glob("store-*.selg")
+        intact = store.read_bytes()
+        # Same header fields as the cached store, so only the check on the
+        # labels (or on the row count) can reject it.
+        cached = GradientStore(store)
+        rows = slice(None) if defect == "no_labels" else slice(0, cached.num_examples - 1)
+        labels = None if defect == "no_labels" else cached.pseudolabels[rows]
+        gradstore.write_store(
+            store,
+            [cached.block(j)[rows] for j in range(cached.num_checkpoints)],
+            cached.final_losses[rows],
+            labels,
+            cached.projection,
+            cached.fingerprints,
+            cached.header["final_fingerprint"],
+        )
+        with caplog.at_level("WARNING", logger="gradselect.harness"):
+            second = run_pipeline(config)
+        assert "rebuilding unusable cached store" in caplog.text
+        assert message in caplog.text
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+        assert store.read_bytes() == intact
+
+    @pytest.mark.parametrize("task", ["classification", "next_token"])
+    def test_warm_run_reads_labels_from_the_store(self, tmp_path, monkeypatch, task):
+        config = base_config(
+            tmp_path, methods=["select", "random"], seeds=[0],
+            model={"embed_dim": 8, "num_classes": 4, "task": task},
+        )
+        first = run_pipeline(config)
+        assert not first.provenance["errors"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pool was encoded or autolabeled on a cache hit")
+
+        monkeypatch.setattr(harness, "autolabel", refuse)
+        monkeypatch.setattr(harness, "encode_documents", refuse)
+        second = run_pipeline(config)
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+
     @pytest.mark.parametrize("kind", ["pipeline", "scaling"])
     def test_parallel_matches_serial(self, tmp_path, kind):
         overrides = dict(
