@@ -8,9 +8,11 @@ autolabels the pool only to build the store; later commands read the
 pseudolabels from its aux block. One function, ``cmd_stage``, runs the chain
 up to the named stage and writes that stage's artifacts under the config's
 out_dir. Run in sequence, each command re-runs the prefix before it, which the
-content-addressed cache turns into reads of the victim, store and selections
-that earlier commands wrote. The experiment command runs a whole grid and
-emits report.json / report.csv / figures.
+content-addressed cache turns into reads of the victim, store, selections and
+retrained models that earlier commands wrote: ``retrain`` copies the cached
+model out, and ``metrics`` reads its metrics instead of training again. The
+experiment command runs a whole grid and emits report.json / report.csv /
+figures.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 from . import harness, toycorpus
 from .corpus import save_jsonl
 from .harness import ExperimentConfig, Workspace
-from .model import evaluate, save_checkpoint, train
+from .model import evaluate
 from .selector import write_selection
 
 GEN_KINDS = ("classification", "pool", "lm", "lm_pool")
@@ -136,18 +138,16 @@ def cmd_stage(args) -> int:
             save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
             print(f"{method}: {len(result.indices)} documents selected")
         elif stage == "retrain":
-            final, _ = train(
-                ctx.theta0, docs, config.retrain_opt, ctx.vocab, config.seq_len, ctx.validation_docs
-            )
-            save_checkpoint(final, out / "retrained" / f"{method}.ckpt")
-            metrics = evaluate(final, ctx.test_docs, ctx.vocab, config.seq_len)
+            cached, metrics = harness.retrain_selection(config, ctx, docs, workspace)
+            shutil.copyfile(cached, out / "retrained" / f"{method}.ckpt")
             report = json.dumps(metrics.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}_eval.json").write_text(report)
             print(f"{method}: {report}")
         else:
-            report = harness.score_selection(config, ctx, docs, ctx.train_docs).to_dict()
-            (out / "reports" / f"{method}.json").write_text(json.dumps(report, sort_keys=True))
-            print(f"{method}: {json.dumps(report)}")
+            scored = harness.score_selection(config, ctx, docs, ctx.train_docs, workspace)
+            report = json.dumps(scored.to_dict(), sort_keys=True)
+            (out / "reports" / f"{method}.json").write_text(report)
+            print(f"{method}: {report}")
     return 0
 
 

@@ -13,9 +13,10 @@ checkpoint, and score recovery.
 One job per seed runs every cell of that seed; a failing cell lands in
 ``provenance.errors`` and the other cells still run. ``run_experiment`` runs
 the seed jobs, ``parallel`` at a time, and orders rows by (cell, method,
-seed). Stage artifacts (checkpoints, stores, selections) are content-addressed
-under ``<out_dir>/cache`` and keyed by the run seed, so cells of one seed
-reuse shared upstream work and two seed jobs never write the same file.
+seed). Stage artifacts (checkpoints, stores, selections and the models
+retrained on them) are content-addressed under ``<out_dir>/cache`` and keyed
+by the run seed, so cells of one seed reuse shared upstream work, two seed
+jobs never write the same file, and a warm run trains nothing.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .metrics import MetricsReport, embed, ot_distance, retrain_and_eval, vocab_
 from .model import (
     TASK_CLASSIFICATION,
     TASK_NEXT_TOKEN,
+    EvalMetrics,
     ModelConfig,
     ModelParams,
     OptimizerConfig,
@@ -432,14 +434,16 @@ def prepare_run(
     )
 
 
-def build_candidate_pool(
-    config: ExperimentConfig, ctx: RunContext
-) -> DocumentSet:
-    """Candidate documents, unlabeled, ids reassigned to pool positions."""
+def _pool_source(config: ExperimentConfig, ctx: RunContext) -> DocumentSet:
+    """The documents a pool is drawn from: the seed corpus file, else the seed split."""
     if config.seed_corpus:
-        docs = _stage("load-pool", load_jsonl, config.seed_corpus)
-    else:
-        docs = ctx.seed_split
+        return _stage("load-pool", load_jsonl, config.seed_corpus)
+    return ctx.seed_split
+
+
+def build_candidate_pool(config: ExperimentConfig, ctx: RunContext) -> DocumentSet:
+    """Candidate documents, unlabeled, ids reassigned to pool positions."""
+    docs = _pool_source(config, ctx)
     if config.pool_size is not None and config.pool_size < len(docs):
         rng = np.random.default_rng(ctx.run_seed + 10_000)
         keep = rng.choice(len(docs), size=config.pool_size, replace=False)
@@ -598,24 +602,37 @@ def selected_documents(
     return docs
 
 
+def retrain_selection(
+    config: ExperimentConfig, ctx: RunContext, selected: DocumentSet, workspace: Workspace
+) -> tuple[Path, EvalMetrics]:
+    """The cached model retrained from theta0 on ``selected``, and its test metrics.
+
+    Keyed by the victim (theta0, vocabulary, seq_len, validation and test sets),
+    the selected texts and labels in order, and the retrain optimizer. The
+    metrics are the checkpoint's meta, written before it, so a hit trains nothing.
+    """
+    key = _digest(
+        ["retrain", ctx.victim_key, _docs_digest(selected), config.retrain_opt.to_dict()]
+    )
+    path = workspace.path(f"retrain-{key}.ckpt")
+    if not path.exists():
+        model, metrics = _stage(
+            "retrain", retrain_and_eval, ctx.theta0, selected, config.retrain_opt,
+            ctx.test_docs, ctx.validation_docs, ctx.vocab, config.seq_len,
+        )
+        save_checkpoint(model, path, metrics.to_dict())
+    return path, EvalMetrics(**json.loads(Path(f"{path}.meta.json").read_text()))
+
+
 def score_selection(
     config: ExperimentConfig,
     ctx: RunContext,
     selected: DocumentSet,
     reference: DocumentSet,
+    workspace: Workspace,
 ) -> MetricsReport:
-    """Retrain on the selection and compare it to the reference set."""
-    eval_metrics = _stage(
-        "retrain",
-        retrain_and_eval,
-        ctx.theta0,
-        selected,
-        config.retrain_opt,
-        ctx.test_docs,
-        ctx.validation_docs,
-        ctx.vocab,
-        config.seq_len,
-    )
+    """Retrain on the selection (or read the cached model) and compare it to the reference set."""
+    _, eval_metrics = retrain_selection(config, ctx, selected, workspace)
     containment = _stage("metrics", vocab_containment, selected, reference)
     ot = _stage(
         "metrics",
@@ -743,27 +760,19 @@ def _optimizer_fields(role: str, opt: OptimizerConfig, override: dict) -> dict:
     return fields
 
 
-def _cell_rows(
-    cell: Cell, ctx: RunContext, workspace: Workspace, expert_reports: dict
-) -> list[dict]:
+def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
     """pool -> size check -> gradient_stage -> run_selection -> score_selection -> rows.
 
-    ``expert`` skips selection and scores the hidden training set itself. Its
-    report depends only on the victim, the retrain optimizer, seq_len and
-    ot_max_points, so it is scored once per key in ``expert_reports`` and
-    shared by the cells of a seed job.
+    ``expert`` skips selection and scores the hidden training set itself.
     """
     config = cell.config
     leak_fraction = cell.fields.get("leak_fraction")
     if leak_fraction is None:
         pool = build_candidate_pool(config, ctx)
     else:
-        if config.seed_corpus:
-            distractors = _stage("load-pool", load_jsonl, config.seed_corpus)
-        else:
-            distractors = ctx.seed_split
         size = int(config.params.get("leak_pool_size") or config.pool_size or 1000)
         mix_seed = ctx.run_seed + int(leak_fraction * 1000)
+        distractors = _pool_source(config, ctx)
         seed_pool = _stage(
             "pool", mix_leakage, ctx.train_docs, distractors, leak_fraction, size, mix_seed
         )
@@ -782,16 +791,7 @@ def _cell_rows(
         if config.experiment == "metric_ablation":
             rows.extend(_replace_trial_rows(config, ctx, selected))
             continue
-        if method == "expert":
-            key = (
-                ctx.victim_key, _digest(config.retrain_opt.to_dict()),
-                config.seq_len, config.ot_max_points,
-            )
-            if key not in expert_reports:
-                expert_reports[key] = score_selection(config, ctx, selected, ctx.train_docs)
-            report = expert_reports[key]
-        else:
-            report = score_selection(config, ctx, selected, ctx.train_docs)
+        report = score_selection(config, ctx, selected, ctx.train_docs, workspace)
         row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
         if leak_fraction is not None:
             row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())
@@ -845,12 +845,11 @@ def _seed_job(
     rows: list[tuple[int, dict]] = []
     checksums: dict = {}
     errors: list[str] = []
-    expert_reports: dict = {}
     for index, cell in enumerate(experiment_cells(config)):
         label = cell.label(run_seed)
         try:
             ctx = prepare_run(cell.config, run_seed, workspace)
-            cell_rows = _cell_rows(cell, ctx, workspace, expert_reports)
+            cell_rows = _cell_rows(cell, ctx, workspace)
         except Exception as exc:
             logger.exception("%s failed", label)
             errors.append(f"{label}: {exc}")

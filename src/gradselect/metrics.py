@@ -242,13 +242,13 @@ def retrain_and_eval(
     validation: DocumentSet | None,
     vocab: Vocab,
     seq_len: int = 64,
-) -> EvalMetrics:
-    """Train from theta0 on the selected (pseudolabeled) set, report test metrics.
+) -> tuple[ModelParams, EvalMetrics]:
+    """Train from theta0 on the selected (pseudolabeled) set; return the model and test metrics.
 
-    The returned snapshot is the best-validation epoch when a validation set
-    is provided.
+    The model is the best-validation epoch's snapshot when a validation set
+    is provided. ``harness.retrain_selection`` is the one caller that caches it.
     """
     if len(selected) == 0:
         raise ValueError("selection is empty")
     final, _ = train(theta0, selected, opt, vocab, seq_len, validation)
-    return evaluate(final, test, vocab, seq_len)
+    return final, evaluate(final, test, vocab, seq_len)

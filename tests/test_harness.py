@@ -2,11 +2,13 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gradselect import gradstore, harness
+from gradselect import gradstore, harness, metrics, model
 from gradselect.cli import main as cli_main
 from gradselect.corpus import save_jsonl
 from gradselect.gradstore import GradientStore
@@ -363,6 +365,24 @@ class TestPipeline:
         assert not second.provenance["errors"]
         assert second.rows == first.rows
 
+    @pytest.mark.parametrize("task", ["classification", "next_token"])
+    def test_warm_run_trains_nothing(self, tmp_path, monkeypatch, task):
+        config = base_config(
+            tmp_path, methods=["select", "random", "expert"], seeds=[0],
+            model={"embed_dim": 8, "num_classes": 4, "task": task},
+        )
+        first = run_pipeline(config)
+        assert not first.provenance["errors"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained on a warm run")
+
+        monkeypatch.setattr(metrics, "train", refuse)
+        monkeypatch.setattr(harness, "train", refuse)
+        second = run_pipeline(config)
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+
     @pytest.mark.parametrize("kind", ["pipeline", "scaling"])
     def test_parallel_matches_serial(self, tmp_path, kind):
         overrides = dict(
@@ -377,6 +397,87 @@ class TestPipeline:
         assert (
             serial.provenance["checkpoint_checksums"] == par.provenance["checkpoint_checksums"]
         )
+
+
+def count_retrains(monkeypatch) -> list:
+    """Record the selection of every ``retrain_and_eval`` call the harness makes."""
+    calls = []
+    real = harness.retrain_and_eval
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "retrain_and_eval", counting)
+    return calls
+
+
+class TestRetrainCache:
+    """The retrained model is cached under the victim, the selection and the retrain optimizer."""
+
+    def test_changed_retrain_optimizer_retrains_every_method(self, tmp_path, monkeypatch):
+        methods = ["select", "random", "expert"]
+        config = base_config(tmp_path, methods=methods, seeds=[0])
+        calls = count_retrains(monkeypatch)
+        assert not run_pipeline(config).provenance["errors"]
+        assert len(calls) == len(methods)
+        assert not run_pipeline(config).provenance["errors"]
+        assert len(calls) == len(methods)
+        retrain_opt = {**config.retrain_opt.to_dict(), "epochs": config.retrain_opt.epochs + 1}
+        other = base_config(tmp_path, methods=methods, seeds=[0], retrain_opt=retrain_opt)
+        assert not run_pipeline(other).provenance["errors"]
+        assert len(calls) == 2 * len(methods)
+        cache = Workspace(config.out_dir).cache_dir
+        assert len(list(cache.glob("retrain-*.ckpt"))) == 2 * len(methods)
+
+    def test_equal_selections_share_one_retrain(self, tmp_path, monkeypatch):
+        # The pool holds 80 documents, under the default batch_window of 1000,
+        # so select_batch runs select's single window.
+        methods = ["select", "select_batch"]
+        config = base_config(tmp_path, methods=methods, seeds=[0])
+        calls = count_retrains(monkeypatch)
+        bundle = run_pipeline(config)
+        assert not bundle.provenance["errors"]
+        cache = Workspace(config.out_dir).cache_dir
+        sels = [json.loads(p.read_text()) for p in cache.glob("sel-*.json")]
+        assert sorted(sel["method"] for sel in sels) == methods
+        assert sels[0]["indices"] == sels[1]["indices"]
+        assert len(calls) == 1
+        for method, row in zip(methods, bundle.rows):
+            fresh = base_config(
+                tmp_path, methods=[method], seeds=[0], out_dir=str(tmp_path / f"fresh_{method}")
+            )
+            assert run_pipeline(fresh).rows == [row]
+
+    def test_failed_checkpoint_write_leaves_no_retrain(self, tmp_path, monkeypatch):
+        methods = ["select", "random"]
+        config = base_config(tmp_path, methods=methods, seeds=[0])
+        clean = run_pipeline(
+            base_config(tmp_path, methods=methods, seeds=[0], out_dir=str(tmp_path / "clean"))
+        )
+        real = model.atomic_write
+
+        @contextmanager
+        def failing(path):
+            with real(path) as fh:
+                if Path(path).name.startswith("retrain-") and Path(path).suffix == ".ckpt":
+                    fh.write(b"partial")
+                    raise OSError("disk full")
+                yield fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "atomic_write", failing)
+            broken = run_pipeline(config)
+        assert broken.rows == []
+        assert any("disk full" in error for error in broken.provenance["errors"])
+        cache = Workspace(config.out_dir).cache_dir
+        assert not list(cache.glob("retrain-*.ckpt"))
+        assert not list(cache.glob("*.tmp"))
+        calls = count_retrains(monkeypatch)
+        again = run_pipeline(config)
+        assert not again.provenance["errors"]
+        assert again.rows == clean.rows
+        assert len(calls) == len(methods)
 
 
 class TestDeterminismAcrossFreshDirs:
@@ -576,9 +677,6 @@ class TestExperiments:
             seeds=[0],
             params={"m_list": [5, 10, 20]},
         )
-        single = run_experiment(
-            base_config(tmp_path, methods=["expert"], seeds=[0], selection_size=5)
-        ).rows[0]
         calls = []
 
         def counting(*args, **kwargs):
@@ -587,6 +685,9 @@ class TestExperiments:
 
         retrain_and_eval = harness.retrain_and_eval
         monkeypatch.setattr(harness, "retrain_and_eval", counting)
+        single = run_experiment(
+            base_config(tmp_path, methods=["expert"], seeds=[0], selection_size=5)
+        ).rows[0]
         bundle = run_experiment(config)
         assert len(calls) == 1
         assert [r["M"] for r in bundle.rows] == [5, 10, 20]
@@ -760,6 +861,20 @@ class TestCLI:
         assert (out / "retrained" / "select.ckpt").exists()
         report = json.loads((out / "reports" / "select.json").read_text())
         assert "vocab_containment" in report and "ot" in report
+
+    def test_retrain_then_metrics_train_once(self, tmp_path, monkeypatch):
+        path, config = self._config_file(tmp_path)
+        assert cli_main(["select", "--config", str(path), "--method", "select"]) == 0
+        calls = count_retrains(monkeypatch)
+        for stage in ("retrain", "metrics"):
+            assert cli_main([stage, "--config", str(path), "--method", "select"]) == 0
+        assert len(calls) == 1
+        out = tmp_path / "run"
+        report = json.loads((out / "reports" / "select.json").read_text())
+        evaluated = json.loads((out / "reports" / "select_eval.json").read_text())
+        assert {key: report[key] for key in evaluated} == evaluated
+        (cached,) = Workspace(config.out_dir).cache_dir.glob("retrain-*.ckpt")
+        assert (out / "retrained" / "select.ckpt").read_bytes() == cached.read_bytes()
 
     def test_wide_sketch_select_reports_requested_k(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path, projection_dim=128)

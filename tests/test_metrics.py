@@ -189,7 +189,7 @@ class TestRetrainAndEval:
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_classes=4)
         theta0 = init_params(cfg, 0)
         opt = OptimizerConfig(kind="adam", learning_rate=0.02, epochs=6, batch_size=32, seed=0)
-        got = retrain_and_eval(theta0, docs, opt, test, None, vocab, 32)
+        _, got = retrain_and_eval(theta0, docs, opt, test, None, vocab, 32)
         expert, _ = train(theta0, docs, opt, vocab, 32)
         want = evaluate(expert, test, vocab, 32)
         assert got.accuracy == want.accuracy
@@ -202,7 +202,7 @@ class TestRetrainAndEval:
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_classes=4)
         theta0 = init_params(cfg, 1)
         opt = OptimizerConfig(kind="adam", learning_rate=0.02, epochs=8, batch_size=32, seed=1)
-        metrics = retrain_and_eval(theta0, selection, opt, test, None, vocab, 32)
+        _, metrics = retrain_and_eval(theta0, selection, opt, test, None, vocab, 32)
         assert metrics.accuracy > 0.5
 
     def test_empty_selection_rejected(self):
