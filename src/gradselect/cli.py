@@ -138,13 +138,14 @@ def cmd_stage(args) -> int:
             save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
             print(f"{method}: {len(result.indices)} documents selected")
         elif stage == "retrain":
-            cached, metrics = harness.retrain_selection(config, ctx, docs, workspace)
+            ((cached, metrics),) = harness.retrain_selections(config, ctx, [docs], workspace)
             shutil.copyfile(cached, out / "retrained" / f"{method}.ckpt")
             report = json.dumps(metrics.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}_eval.json").write_text(report)
             print(f"{method}: {report}")
         else:
-            scored = harness.score_selection(config, ctx, docs, ctx.train_docs, workspace)
+            ((_, metrics),) = harness.retrain_selections(config, ctx, [docs], workspace)
+            scored = harness.score_selection(config, ctx, docs, ctx.train_docs, metrics)
             report = json.dumps(scored.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}.json").write_text(report)
             print(f"{method}: {report}")

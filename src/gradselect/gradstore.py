@@ -67,6 +67,10 @@ DEFAULT_PROJECTION_DIM = 4096
 # Rows per slab of per-example gradients computed at once.
 _COMPUTE_BATCH = 256
 _PROJECT_BLOCK_ROWS = 1024
+# For k < D a Projection keeps its dense float64 sign blocks when they fit in
+# this many bytes (D*k*8: 11 MB for D=2771, k=512); larger ones are unpacked
+# on every call.
+_DENSE_SIGNS_MAX_BYTES = 64 << 20
 # Rows per float64 slice of the GradientStore.scores pass.
 _READ_BLOCK_ROWS = 1024
 # Byte alignment of the data section (the header is space-padded up to it).
@@ -90,6 +94,7 @@ class Projection:
         default=None, repr=False, compare=False
     )
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dense: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
@@ -118,6 +123,24 @@ class Projection:
         packed = self._packed_bits()[r_start:r_stop]
         bits = np.unpackbits(packed, axis=1, bitorder="little")[:, : self.output_dim]
         return 1.0 - 2.0 * bits.astype(dtype)
+
+    def sign_blocks(self) -> Iterable[tuple[int, int, np.ndarray]]:
+        """(r_start, r_stop, dense signs) per ``_PROJECT_BLOCK_ROWS`` input rows.
+
+        Kept after the first call when D*k*8 bytes are at most
+        ``_DENSE_SIGNS_MAX_BYTES``; generated anew on every call otherwise.
+        """
+        if self._dense is not None:
+            return self._dense
+        blocks = (
+            (r0, min(r0 + _PROJECT_BLOCK_ROWS, self.input_dim))
+            for r0 in range(0, self.input_dim, _PROJECT_BLOCK_ROWS)
+        )
+        dense = ((r0, r1, self.sign_block(r0, r1)) for r0, r1 in blocks)
+        if self.input_dim * self.output_dim * 8 <= _DENSE_SIGNS_MAX_BYTES:
+            self._dense = list(dense)
+            return self._dense
+        return dense
 
     def gram_root(self) -> np.ndarray:
         """Cached (D, D) W = Lambda^1/2 V^T with W^T W = A A^T (the k >= D map).
@@ -169,9 +192,8 @@ def project(vec: np.ndarray, proj: Projection) -> np.ndarray:
         out = arr @ proj.gram_root().T
     else:
         out = np.zeros((arr.shape[0], proj.output_dim))
-        for r0 in range(0, proj.input_dim, _PROJECT_BLOCK_ROWS):
-            r1 = min(r0 + _PROJECT_BLOCK_ROWS, proj.input_dim)
-            out += arr[:, r0:r1] @ proj.sign_block(r0, r1)
+        for r0, r1, signs in proj.sign_blocks():
+            out += arr[:, r0:r1] @ signs
         out /= np.sqrt(proj.output_dim)
     return out[0] if single else out
 

@@ -8,7 +8,9 @@ task corpus and train (or reuse) the victim, build the candidate pool,
 autolabel it with the final model and build the projected gradient store
 (on a store cache hit neither runs: the labels are read from the store),
 select with each of the cell's methods, retrain each selection from the base
-checkpoint, and score recovery.
+checkpoint, and score recovery. A cell selects with every method before it
+retrains: ``retrain_selections`` then trains the models the cache misses in
+lockstep, the classification ones of one selection size as one stacked model.
 
 One job per seed runs every cell of that seed; a failing cell lands in
 ``provenance.errors`` and the other cells still run. ``run_experiment`` runs
@@ -602,26 +604,46 @@ def selected_documents(
     return docs
 
 
-def retrain_selection(
-    config: ExperimentConfig, ctx: RunContext, selected: DocumentSet, workspace: Workspace
-) -> tuple[Path, EvalMetrics]:
-    """The cached model retrained from theta0 on ``selected``, and its test metrics.
+def retrain_selections(
+    config: ExperimentConfig,
+    ctx: RunContext,
+    selections: Sequence[DocumentSet],
+    workspace: Workspace,
+) -> list[tuple[Path, EvalMetrics]]:
+    """The cached model retrained from theta0 on each selection, and its test metrics.
 
-    Keyed by the victim (theta0, vocabulary, seq_len, validation and test sets),
-    the selected texts and labels in order, and the retrain optimizer. The
-    metrics are the checkpoint's meta, written before it, so a hit trains nothing.
+    Each model is keyed by the victim (theta0, vocabulary, seq_len, validation
+    and test sets), the selected texts and labels in order, and the retrain
+    optimizer. The metrics are the checkpoint's meta, written before it, so a
+    hit trains nothing and equal selections train once.
+
+    The misses train in lockstep. For classification, the misses of one size
+    are stacked into one ``retrain_and_eval`` call, in which each model sees
+    its solo run's batches and gets its solo run's bits. A next-token model
+    trains alone: stacking would pad each batch to the widest of the K and so
+    change the float32 head-gradient sums. Each model is saved under its own
+    key, so a write that fails keeps the models saved before it.
     """
-    key = _digest(
-        ["retrain", ctx.victim_key, _docs_digest(selected), config.retrain_opt.to_dict()]
-    )
-    path = workspace.path(f"retrain-{key}.ckpt")
-    if not path.exists():
-        model, metrics = _stage(
-            "retrain", retrain_and_eval, ctx.theta0, selected, config.retrain_opt,
-            ctx.test_docs, ctx.validation_docs, ctx.vocab, config.seq_len,
+    lockstep = ctx.theta0.config.task == TASK_CLASSIFICATION
+    paths: list[Path] = []
+    groups: dict[Any, dict[Path, DocumentSet]] = {}
+    for selected in selections:
+        key = _digest(
+            ["retrain", ctx.victim_key, _docs_digest(selected), config.retrain_opt.to_dict()]
         )
-        save_checkpoint(model, path, metrics.to_dict())
-    return path, EvalMetrics(**json.loads(Path(f"{path}.meta.json").read_text()))
+        paths.append(workspace.path(f"retrain-{key}.ckpt"))
+        if not paths[-1].exists():
+            groups.setdefault(len(selected) if lockstep else key, {})[paths[-1]] = selected
+    for group in groups.values():
+        docs = [d for selected in group.values() for d in selected]
+        models, metrics = _stage(
+            "retrain", retrain_and_eval, ModelParams.stack([ctx.theta0] * len(group)),
+            DocumentSet(Document(i, d.text, d.label) for i, d in enumerate(docs)),
+            config.retrain_opt, ctx.test_docs, ctx.validation_docs, ctx.vocab, config.seq_len,
+        )
+        for path, model, eval_metrics in zip(group, models.models(), metrics):
+            save_checkpoint(model, path, eval_metrics.to_dict())
+    return [(p, EvalMetrics(**json.loads(Path(f"{p}.meta.json").read_text()))) for p in paths]
 
 
 def score_selection(
@@ -629,10 +651,9 @@ def score_selection(
     ctx: RunContext,
     selected: DocumentSet,
     reference: DocumentSet,
-    workspace: Workspace,
+    eval_metrics: EvalMetrics,
 ) -> MetricsReport:
-    """Retrain on the selection (or read the cached model) and compare it to the reference set."""
-    _, eval_metrics = retrain_selection(config, ctx, selected, workspace)
+    """Compare the selection to the reference set, next to its retrained model's test metrics."""
     containment = _stage("metrics", vocab_containment, selected, reference)
     ot = _stage(
         "metrics",
@@ -761,9 +782,12 @@ def _optimizer_fields(role: str, opt: OptimizerConfig, override: dict) -> dict:
 
 
 def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
-    """pool -> size check -> gradient_stage -> run_selection -> score_selection -> rows.
+    """pool -> size check -> gradient_stage -> run_selection for every method ->
+    retrain_selections -> score_selection for every method -> rows.
 
     ``expert`` skips selection and scores the hidden training set itself.
+    Every method selects before any model trains, so the cell's retrains run
+    in lockstep.
     """
     config = cell.config
     leak_fraction = cell.fields.get("leak_fraction")
@@ -781,17 +805,19 @@ def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
         error = f"selection_size {config.selection_size} exceeds pool size {len(pool)}"
         raise StageError("pool", ValueError(error))
     artifacts = gradient_stage(config, ctx, pool, workspace)
-    rows = []
+    chosen = []
     for method in cell.methods:
         if method == "expert":
-            selected = ctx.train_docs
-        else:
-            result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
-            selected = selected_documents(pool, result, artifacts.store)
-        if config.experiment == "metric_ablation":
-            rows.extend(_replace_trial_rows(config, ctx, selected))
+            chosen.append((method, ctx.train_docs, None))
             continue
-        report = score_selection(config, ctx, selected, ctx.train_docs, workspace)
+        result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
+        chosen.append((method, selected_documents(pool, result, artifacts.store), result))
+    if config.experiment == "metric_ablation":
+        return [row for _, docs, _ in chosen for row in _replace_trial_rows(config, ctx, docs)]
+    retrained = retrain_selections(config, ctx, [selected for _, selected, _ in chosen], workspace)
+    rows = []
+    for (method, selected, result), (_, eval_metrics) in zip(chosen, retrained):
+        report = score_selection(config, ctx, selected, ctx.train_docs, eval_metrics)
         row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
         if leak_fraction is not None:
             row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())

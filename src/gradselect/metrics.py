@@ -242,11 +242,14 @@ def retrain_and_eval(
     validation: DocumentSet | None,
     vocab: Vocab,
     seq_len: int = 64,
-) -> tuple[ModelParams, EvalMetrics]:
+) -> tuple[ModelParams, EvalMetrics | list[EvalMetrics]]:
     """Train from theta0 on the selected (pseudolabeled) set; return the model and test metrics.
 
     The model is the best-validation epoch's snapshot when a validation set
-    is provided. ``harness.retrain_selection`` is the one caller that caches it.
+    is provided. Stacked theta0 of K models trains model k on the k-th of K
+    equal slices of ``selected`` in one run (``model.train``) and returns the
+    stacked models with one EvalMetrics per model. ``harness.retrain_selections``
+    is the one caller that caches them.
     """
     if len(selected) == 0:
         raise ValueError("selection is empty")

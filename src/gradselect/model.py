@@ -11,7 +11,18 @@ prediction positions (one per document for classification, one per token
 but the last for next-token), and everything downstream runs one path over
 them: hidden layer, log-softmax, the NLL, the softmax - onehot residual, and
 the head and hidden-layer backprop. Three things stay per task: the pooling,
-its backward scatter into the embedding, and the gradient scale.
+its backward scatter into the embedding, and the gradient scale. The
+classification scatter is one float64 ``bincount`` over (token row, column);
+next-token scatters its float32 position terms with ``_scatter_add_rows``.
+
+K models that share a configuration can run as one: ``ModelParams.stack``
+gives every block a leading model axis, and the batch's ids, lengths and
+labels then have shape (K, b, s), (K, b) and (K, b). The algebra is written
+once over that optional axis: the gather reads row ``ids + k*V`` of the
+embedding flattened to (K*V, h), the matmuls are batched over k, and every
+reduction runs within one model, so a stacked classification step gives each
+model the bits of its own step. ``train`` and ``evaluate`` take stacked
+params too.
 
 Batched kernels run only up to the longest valid column of their batch
 (``_unpad``): the padding past it would be computed and then zeroed by the
@@ -25,7 +36,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,6 +140,28 @@ class ModelParams:
             hidden_w=None if self.hidden_w is None else self.hidden_w.astype(dtype),
             hidden_b=None if self.hidden_b is None else self.hidden_b.astype(dtype),
         )
+
+    @property
+    def num_models(self) -> int | None:
+        """K for params stacked along a leading model axis, None for one model."""
+        return self.embedding.shape[0] if self.embedding.ndim == 3 else None
+
+    @classmethod
+    def stack(cls, models: Sequence["ModelParams"]) -> "ModelParams":
+        """K models of one config as one, every block with a leading model axis."""
+        names = models[0].blocks()
+        blocks = {n: np.stack([m.blocks()[n] for m in models]) for n in names}
+        return cls(models[0].config, **blocks)
+
+    def models(self) -> list["ModelParams"]:
+        """Each model of stacked params, as views of its blocks; ``[self]`` for one model."""
+        if self.num_models is None:
+            return [self]
+        blocks = self.blocks()
+        return [
+            ModelParams(self.config, **{n: b[k] for n, b in blocks.items()})
+            for k in range(self.num_models)
+        ]
 
     def compatible_with(self, other: "ModelParams") -> bool:
         """Interpolation compatibility: identical configs."""
@@ -268,7 +301,19 @@ def _scatter_add_rows(dest: np.ndarray, ids: np.ndarray, contrib: np.ndarray) ->
 
 def _unpad(ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """ids cut to the longest valid length; the columns past it hold only padding."""
-    return ids[:, : lens.max(initial=0)]
+    return ids[..., : lens.max(initial=0)]
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """The transpose of every matrix of a (possibly stacked) array."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _embedding_rows(params: ModelParams, ids: np.ndarray) -> np.ndarray:
+    """The row of each token in the embedding flattened to (K*V, h): ids + k*V in model k."""
+    if params.num_models is None:
+        return ids
+    return ids + (np.arange(params.num_models) * params.config.vocab_size)[:, None, None]
 
 
 def _head_positions(
@@ -279,7 +324,8 @@ def _head_positions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Forward pass over the prediction positions of a batch, for either task.
 
-    Returns (context, z, logp, targets, mask) for b documents of T positions:
+    Returns (context, z, logp, targets, mask) for b documents of T positions,
+    each with a leading model axis K for stacked params:
 
     - context (b, T, h): the pooled input of each position;
     - z (b, T, h): context after the optional tanh hidden layer;
@@ -301,23 +347,23 @@ def _head_positions(
     if not classify and np.any(lens < 2):
         raise ValueError("next-token documents need at least 2 tokens")
     ids = _unpad(ids, lens)
-    b, s = ids.shape
-    tok_mask = np.arange(s)[None, :] < lens[:, None]
-    emb = params.embedding[ids] * tok_mask[:, :, None]
+    s, h = ids.shape[-1], cfg.embed_dim
+    tok_mask = np.arange(s) < lens[..., None]
+    emb = params.embedding.reshape(-1, h)[_embedding_rows(params, ids)] * tok_mask[..., None]
     if classify:
-        context = (emb.sum(axis=1) / lens[:, None])[:, None, :]
-        targets = None if labels is None else np.asarray(labels)[:, None]
-        mask = np.ones((b, 1), dtype=bool)
+        context = (emb.sum(axis=-2) / lens[..., None])[..., None, :]
+        targets = None if labels is None else np.asarray(labels)[..., None]
+        mask = np.ones(lens.shape + (1,), dtype=bool)
     else:
         counts = np.arange(1, s, dtype=params.embedding.dtype)
-        context = np.cumsum(emb, axis=1)[:, :-1, :] / counts[None, :, None]
-        targets = ids[:, 1:]
-        mask = tok_mask[:, 1:]
-    z = context.reshape(-1, cfg.embed_dim)
+        context = np.cumsum(emb, axis=-2)[..., :-1, :] / counts[:, None]
+        targets = ids[..., 1:]
+        mask = tok_mask[..., 1:]
+    z = context.reshape(*params.embedding.shape[:-2], -1, h)
     if cfg.hidden_layer:
-        z = np.tanh(z @ params.hidden_w.T + params.hidden_b)
-    logp = _log_softmax(z @ params.head_w.T + params.head_b)
-    logp = logp.reshape(*context.shape[:2], cfg.head_dim)
+        z = np.tanh(z @ _swap(params.hidden_w) + params.hidden_b[..., None, :])
+    logp = _log_softmax(z @ _swap(params.head_w) + params.head_b[..., None, :])
+    logp = logp.reshape(*context.shape[:-1], cfg.head_dim)
     return context, z.reshape(context.shape), logp, targets, mask
 
 
@@ -329,7 +375,7 @@ def _at_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _example_nll(logp: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(b,) negative log-likelihood of each document, averaged over its positions."""
     nll = -logp.reshape(-1, logp.shape[-1])[_at_targets(targets)].reshape(targets.shape)
-    return (nll * mask).sum(axis=1) / mask.sum(axis=1)
+    return (nll * mask).sum(axis=-1) / mask.sum(axis=-1)
 
 
 def _residual(logp: np.ndarray, targets: np.ndarray, dtype) -> np.ndarray:
@@ -396,45 +442,53 @@ def batch_loss_and_grads(
     ids: np.ndarray,
     lens: np.ndarray,
     labels: np.ndarray | None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean batch loss and analytic gradients for every parameter block."""
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
+    """Mean batch loss and analytic gradients for every parameter block.
+
+    Stacked params give a (K,) loss, one per model, and stacked gradients.
+    """
     cfg = params.config
     dtype = params.embedding.dtype
-    n = ids.shape[0]
+    lead = params.embedding.shape[:-2]
+    n, h = ids.shape[-2], cfg.embed_dim
     ids = _unpad(ids, lens)
     context, z, logp, targets, mask = _head_positions(params, ids, lens, labels)
-    loss_val = float(_example_nll(logp, targets, mask).mean())
+    loss_val = _example_nll(logp, targets, mask).mean(axis=-1)
     # The residual keeps the head's dtype: float64 for classification, float32
     # for next-token. The scale spreads the batch mean over the positions.
     err = _residual(logp, targets, logp.dtype)
     if cfg.task == TASK_CLASSIFICATION:
         err /= n
     else:
-        err *= (mask / (mask.sum(axis=1)[:, None] * n)).astype(dtype)[:, :, None]
-    h = cfg.embed_dim
-    err, z = err.reshape(-1, cfg.head_dim), z.reshape(-1, h)
-    grads = {"head_w": err.T @ z, "head_b": err.sum(axis=0)}
+        err *= (mask / (mask.sum(axis=-1)[..., None] * n)).astype(dtype)[..., None]
+    err, z = err.reshape(*lead, -1, cfg.head_dim), z.reshape(*lead, -1, h)
+    grads = {"head_w": _swap(err) @ z, "head_b": err.sum(axis=-2)}
     dcontext = err @ params.head_w
     if cfg.hidden_layer:
         da = dcontext * (1.0 - z * z)
-        grads["hidden_w"] = da.T @ context.reshape(-1, h)
-        grads["hidden_b"] = da.sum(axis=0)
+        grads["hidden_w"] = _swap(da) @ context.reshape(*lead, -1, h)
+        grads["hidden_b"] = da.sum(axis=-2)
         dcontext = da @ params.hidden_w
     # The backward of the pooling scatters into the embedding rows of the tokens.
+    rows = _embedding_rows(params, ids)
     if cfg.task == TASK_CLASSIFICATION:
-        # One position per document: each valid token gets its document's row / len.
-        rows, cols = np.nonzero(np.arange(ids.shape[1])[None, :] < lens[:, None])
-        contrib = (dcontext / lens[:, None].astype(dtype))[rows]
+        # One position per document: each valid token gets its document's
+        # row / len. One float64 bincount over (row, column) adds each entry's
+        # terms in token order, as a segment sum over stably sorted rows would.
+        tokens = np.nonzero(np.arange(ids.shape[-1]) < lens[..., None])
+        contrib = (dcontext / lens[..., None].astype(dtype))[tokens[:-1]]
+        bins = (rows[tokens][:, None] * h + np.arange(h)).ravel()
+        d_emb = np.bincount(bins, contrib.ravel(), minlength=params.embedding.size)
+        grads["embedding"] = d_emb.astype(dtype).reshape(params.embedding.shape)
     else:
-        counts = np.arange(1, ids.shape[1], dtype=dtype)
-        dcsum = dcontext.reshape(context.shape) / counts[None, :, None]
+        counts = np.arange(1, ids.shape[-1], dtype=dtype)
+        dcsum = dcontext.reshape(context.shape) / counts[:, None]
         # token at position u feeds every context t >= u: suffix-sum over t
-        dpos = np.flip(np.cumsum(np.flip(dcsum, axis=1), axis=1), axis=1)
-        rows, cols = np.nonzero(mask)
-        contrib = dpos[rows, cols]
-    d_emb = np.zeros_like(params.embedding)
-    _scatter_add_rows(d_emb, ids[rows, cols], contrib)
-    grads["embedding"] = d_emb
+        dpos = np.flip(np.cumsum(np.flip(dcsum, axis=-2), axis=-2), axis=-2)
+        # float32 terms: a float64 sum would round differently.
+        d_emb = np.zeros_like(params.embedding)
+        _scatter_add_rows(d_emb.reshape(-1, h), rows[..., :-1][mask], dpos[mask])
+        grads["embedding"] = d_emb
     return loss_val, grads
 
 
@@ -444,7 +498,11 @@ def optimizer_step(
     state: OptimizerState | None,
     opt: OptimizerConfig,
 ) -> tuple[ModelParams, OptimizerState]:
-    """Apply one update in place; moments are tracked per parameter block."""
+    """Apply one update in place; moments are tracked per parameter block.
+
+    Every operation is elementwise, so stacked params update each model as
+    its own step would.
+    """
     if state is None:
         state = OptimizerState()
     blocks = params.blocks()
@@ -483,20 +541,32 @@ def train(
     vocab: Vocab,
     seq_len: int = 64,
     validation: DocumentSet | None = None,
-) -> tuple[ModelParams, list[float]]:
+) -> tuple[ModelParams, list]:
     """Mini-batch training; returns (params, per-epoch mean training loss).
 
     With a validation set the returned params are the epoch-end snapshot with
     the lowest validation loss (ties broken by the earlier epoch).
+
+    Stacked ``initial`` params of K models train model k on the k-th of K
+    equal slices of ``data``. One permutation orders every slice, each model
+    keeps its own best-epoch snapshot, a non-finite loss in any model raises,
+    and the trace holds one per-epoch list per model.
     """
     if len(data) == 0:
         raise ValueError("training data is empty")
+    num_models = initial.num_models
+    if num_models is not None and len(data) % num_models:
+        raise ValueError(f"{len(data)} documents do not split into {num_models} equal slices")
+    lead = () if num_models is None else (num_models,)
     batch = encode_documents(data, vocab, seq_len)
+    ids = batch.ids.reshape(*lead, -1, batch.ids.shape[-1])
+    lens = batch.valid_len.reshape(*lead, -1)
     labels = None
     if initial.config.task == TASK_CLASSIFICATION:
         labels = data.labels()
         if labels.min() < 0 or labels.max() >= initial.config.num_classes:
             raise ValueError("labels out of range for model head")
+        labels = labels.reshape(lens.shape)
     val_batch = val_labels = None
     if validation is not None and len(validation) > 0:
         val_batch = encode_documents(validation, vocab, seq_len)
@@ -506,51 +576,64 @@ def train(
     params = initial.copy()
     state: OptimizerState | None = None
     rng = np.random.default_rng(opt.seed)
-    trace: list[float] = []
-    best_loss = np.inf
-    best_params: ModelParams | None = None
-    n = len(data)
+    traces: list[list[float]] = [[] for _ in range(num_models or 1)]
+    best_loss = [np.inf] * len(traces)
+    best: list[ModelParams | None] = [None] * len(traces)
+    n = lens.shape[-1]
     for epoch in range(opt.epochs):
         perm = rng.permutation(n)
-        epoch_losses = []
+        epoch_losses: list[list[float]] = [[] for _ in traces]
         for b, start in enumerate(range(0, n, opt.batch_size)):
             take = perm[start : start + opt.batch_size]
-            batch_labels = None if labels is None else labels[take]
+            batch_labels = None if labels is None else labels[..., take]
             loss_val, grads = batch_loss_and_grads(
-                params, batch.ids[take], batch.valid_len[take], batch_labels
+                params, ids[..., take, :], lens[..., take], batch_labels
             )
-            if not np.isfinite(loss_val):
-                kind = "NaN" if np.isnan(loss_val) else "inf"
-                raise RuntimeError(f"{kind} loss in epoch {epoch} batch {b}")
+            losses = np.atleast_1d(loss_val)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                kind = "NaN" if np.isnan(losses[bad[0]]) else "inf"
+                where = "" if num_models is None else f" of model {bad[0]}"
+                raise RuntimeError(f"{kind} loss in epoch {epoch} batch {b}{where}")
             params, state = optimizer_step(params, grads, state, opt)
-            epoch_losses.append(loss_val)
-        trace.append(float(np.mean(epoch_losses)))
+            for model_losses, value in zip(epoch_losses, losses):
+                model_losses.append(value)
+        for trace, model_losses in zip(traces, epoch_losses):
+            trace.append(float(np.mean(model_losses)))
         if val_batch is not None:
-            val_loss = batch_mean_loss(
-                params, val_batch.ids, val_batch.valid_len, val_labels
-            )
-            if val_loss < best_loss:
-                best_loss = val_loss
-                best_params = params.copy()
-    if best_params is not None:
-        return best_params, trace
-    return params, trace
+            for k, model in enumerate(params.models()):
+                val_loss = batch_mean_loss(model, val_batch.ids, val_batch.valid_len, val_labels)
+                if val_loss < best_loss[k]:
+                    best_loss[k] = val_loss
+                    best[k] = model.copy()
+    final = [kept if kept is not None else last for kept, last in zip(best, params.models())]
+    if num_models is None:
+        return final[0], traces[0]
+    return ModelParams.stack(final), traces
 
 
 def evaluate(
     params: ModelParams, test: DocumentSet, vocab: Vocab, seq_len: int = 64
-) -> EvalMetrics:
-    """Accuracy/mean loss for classification; mean loss/perplexity otherwise."""
+) -> EvalMetrics | list[EvalMetrics]:
+    """Accuracy/mean loss for classification; mean loss/perplexity otherwise.
+
+    Stacked params score the test set with each model in turn, which holds one
+    model's activations at a time: one EvalMetrics per model.
+    """
     if len(test) == 0:
         raise ValueError("test set is empty")
     batch = encode_documents(test, vocab, seq_len)
     labels = test.labels() if params.config.task == TASK_CLASSIFICATION else None
-    _, _, logp, targets, mask = _head_positions(params, batch.ids, batch.valid_len, labels)
-    mean_loss = float(_example_nll(logp, targets, mask).mean())
-    if labels is not None:
-        accuracy = float((logp[:, 0].argmax(axis=1) == labels).mean())
-        return EvalMetrics(mean_loss=mean_loss, accuracy=accuracy)
-    return EvalMetrics(mean_loss=mean_loss, perplexity=float(np.exp(mean_loss)))
+    out = []
+    for model in params.models():
+        _, _, logp, targets, mask = _head_positions(model, batch.ids, batch.valid_len, labels)
+        mean_loss = float(_example_nll(logp, targets, mask).mean())
+        if labels is not None:
+            accuracy = float((logp[:, 0].argmax(axis=1) == labels).mean())
+            out.append(EvalMetrics(mean_loss=mean_loss, accuracy=accuracy))
+        else:
+            out.append(EvalMetrics(mean_loss=mean_loss, perplexity=float(np.exp(mean_loss))))
+    return out if params.num_models is not None else out[0]
 
 
 def save_checkpoint(
@@ -565,16 +648,23 @@ def save_checkpoint(
     ]
     header = dict(cfg.to_dict(), tensors=tensors)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    meta_path = Path(f"{path}.meta.json")
     if meta is not None:
         # Written first, so a checkpoint at ``path`` implies its meta is complete.
-        with atomic_write(str(path) + ".meta.json") as fh:
+        with atomic_write(meta_path) as fh:
             fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for block in params.blocks().values():
-            fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
+    try:
+        with atomic_write(path) as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for block in params.blocks().values():
+                fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
+    except BaseException:
+        # A meta whose checkpoint failed describes nothing.
+        if meta is not None:
+            meta_path.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, count: int, what: str = "checkpoint") -> bytes:

@@ -179,6 +179,28 @@ class TestProjection:
         stacked = np.vstack([p.sign_block(i, i + 1) for i in range(100)])
         assert np.array_equal(stacked, p.sign_block(0, 100))
 
+    @pytest.mark.parametrize("cap", [0, gradstore._DENSE_SIGNS_MAX_BYTES])
+    def test_sign_blocks_kept_only_under_the_cap(self, monkeypatch, cap):
+        # D = 2500 spans three 1024-row blocks; kept or not, the blocks are
+        # summed in row order, so the bits are the blockwise sum's.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((7, 2500))
+        reference = Projection(2500, 48, seed=2)
+        want = np.zeros((7, 48))
+        for r0 in range(0, 2500, 1024):
+            want += x[:, r0 : r0 + 1024] @ reference.sign_block(r0, min(r0 + 1024, 2500))
+        want /= np.sqrt(48)
+        monkeypatch.setattr(gradstore, "_DENSE_SIGNS_MAX_BYTES", cap)
+        proj = Projection(2500, 48, seed=2)
+        assert np.array_equal(project(x, proj), want)
+        unpacked = []
+        real = Projection.sign_block
+        monkeypatch.setattr(
+            Projection, "sign_block", lambda self, *a: unpacked.append(a) or real(self, *a)
+        )
+        assert np.array_equal(project(x, proj), want)
+        assert len(unpacked) == (0 if cap else 3)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             project(np.zeros(10), Projection(11, 4, seed=0))

@@ -400,12 +400,12 @@ class TestPipeline:
 
 
 def count_retrains(monkeypatch) -> list:
-    """Record the selection of every ``retrain_and_eval`` call the harness makes."""
+    """Record one entry per model that the harness's ``retrain_and_eval`` calls train."""
     calls = []
     real = harness.retrain_and_eval
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend([args[1]] * len(args[0].models()))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "retrain_and_eval", counting)
@@ -478,6 +478,114 @@ class TestRetrainCache:
         assert not again.provenance["errors"]
         assert again.rows == clean.rows
         assert len(calls) == len(methods)
+
+
+def count_models_per_call(monkeypatch) -> list:
+    """Record how many models each ``retrain_and_eval`` call the harness makes trains."""
+    sizes = []
+    real = harness.retrain_and_eval
+
+    def counting(*args, **kwargs):
+        sizes.append(len(args[0].models()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "retrain_and_eval", counting)
+    return sizes
+
+
+def fail_retrain_writes(patch, after: int) -> None:
+    """Make every ``retrain-*.ckpt`` write after the first ``after`` fail mid-file."""
+    real = model.atomic_write
+    seen = []
+
+    @contextmanager
+    def failing(path):
+        with real(path) as fh:
+            if Path(path).name.startswith("retrain-") and Path(path).suffix == ".ckpt":
+                seen.append(path)
+                if len(seen) > after:
+                    fh.write(b"partial")
+                    raise OSError("disk full")
+            yield fh
+
+    patch.setattr(model, "atomic_write", failing)
+
+
+class TestLockstepRetrain:
+    """A cell selects with every method first, then trains its missing models together."""
+
+    def test_added_method_trains_only_its_model(self, tmp_path, monkeypatch):
+        config = base_config(tmp_path, methods=["select", "random"], seeds=[0])
+        sizes = count_models_per_call(monkeypatch)
+        assert not run_pipeline(config).provenance["errors"]
+        assert sizes == [2]
+        wider = base_config(tmp_path, methods=["select", "random", "topk"], seeds=[0])
+        bundle = run_pipeline(wider)
+        assert not bundle.provenance["errors"]
+        assert sizes == [2, 1]
+        fresh = run_pipeline(
+            base_config(
+                tmp_path, methods=["select", "random", "topk"], seeds=[0],
+                out_dir=str(tmp_path / "fresh"),
+            )
+        )
+        assert sizes == [2, 1, 3]
+        assert bundle.rows == fresh.rows
+
+    def test_lockstep_rows_equal_solo_rows(self, tmp_path, monkeypatch):
+        methods = ["select", "random", "topk", "expert"]
+        config = base_config(tmp_path, methods=methods, seeds=[0])
+        sizes = count_models_per_call(monkeypatch)
+        bundle = run_pipeline(config)
+        assert not bundle.provenance["errors"]
+        # select, random and topk share M; the expert trains on the whole training set.
+        assert sorted(sizes) == [1, 3]
+        for method, row in zip(methods, bundle.rows):
+            solo = base_config(
+                tmp_path, methods=[method], seeds=[0], out_dir=str(tmp_path / f"solo_{method}")
+            )
+            assert run_pipeline(solo).rows == [row]
+
+    def test_next_token_trains_one_model_per_call(self, tmp_path, monkeypatch):
+        config = base_config(
+            tmp_path, methods=["select", "random", "topk"], seeds=[0],
+            model={"embed_dim": 8, "task": "next_token"},
+        )
+        sizes = count_models_per_call(monkeypatch)
+        assert not run_pipeline(config).provenance["errors"]
+        assert sizes == [1, 1, 1]
+
+    def test_failed_checkpoint_write_leaves_no_meta(self, tmp_path, monkeypatch):
+        config = base_config(tmp_path, methods=["select", "random"], seeds=[0])
+        with monkeypatch.context() as patch:
+            fail_retrain_writes(patch, after=0)
+            broken = run_pipeline(config)
+        assert any("disk full" in error for error in broken.provenance["errors"])
+        cache = Workspace(config.out_dir).cache_dir
+        assert not list(cache.glob("retrain-*"))
+        # The victim's checkpoints keep their metas.
+        assert len(list(cache.glob("victim-*.meta.json"))) == 2
+
+    def test_write_failing_at_second_model_keeps_the_first(self, tmp_path, monkeypatch):
+        methods = ["select", "random", "topk"]
+        config = base_config(tmp_path, methods=methods, seeds=[0])
+        clean = run_pipeline(
+            base_config(tmp_path, methods=methods, seeds=[0], out_dir=str(tmp_path / "clean"))
+        )
+        with monkeypatch.context() as patch:
+            fail_retrain_writes(patch, after=1)
+            broken = run_pipeline(config)
+        assert broken.rows == []
+        assert any("disk full" in error for error in broken.provenance["errors"])
+        cache = Workspace(config.out_dir).cache_dir
+        (kept,) = cache.glob("retrain-*.ckpt")
+        assert [p.name for p in cache.glob("retrain-*.meta.json")] == [f"{kept.name}.meta.json"]
+        assert not list(cache.glob("*.tmp"))
+        sizes = count_models_per_call(monkeypatch)
+        again = run_pipeline(config)
+        assert not again.provenance["errors"]
+        assert sizes == [len(methods) - 1]
+        assert again.rows == clean.rows
 
 
 class TestDeterminismAcrossFreshDirs:

@@ -9,6 +9,7 @@ from gradselect.model import (
     TASKS,
     EvalMetrics,
     ModelConfig,
+    ModelParams,
     OptimizerConfig,
     OptimizerState,
     batch_loss_and_grads,
@@ -23,6 +24,7 @@ from gradselect.model import (
     train,
     _per_example_losses,
 )
+from gradselect.toycorpus import make_classification_corpus
 
 
 def seq(ids, valid_len=None):
@@ -343,6 +345,84 @@ class TestTrain:
         opt = OptimizerConfig(kind="sgd", learning_rate=0.1, epochs=1)
         with pytest.raises(ValueError, match="empty"):
             train(init_params(cfg, 0), DocumentSet([]), opt, vocab, 8)
+
+
+class TestLockstep:
+    """K models stacked on a leading axis train and score as K solo runs, bit for bit."""
+
+    K, SLICE, EPOCHS = 3, 30, 5
+
+    def _setup(self, kind, hidden):
+        docs = make_classification_corpus(200, 4, seed=3)
+        vocab = build_vocab(docs, 256)
+        cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=4, hidden_layer=hidden)
+        lr = 2.0 if kind == "sgd" else 0.2
+        opt = OptimizerConfig(kind=kind, learning_rate=lr, epochs=self.EPOCHS, batch_size=8, seed=1)
+        slices = [docs.subset(range(self.SLICE * k, self.SLICE * (k + 1))) for k in range(self.K)]
+        return docs, vocab, init_params(cfg, 0), opt, slices
+
+    @staticmethod
+    def _equal(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a.blocks().values(), b.blocks().values()))
+
+    def _chosen_epoch(self, final, theta0, data, opt, vocab):
+        """The epoch whose end params ``final`` holds; shorter runs are prefixes of longer ones."""
+        for epoch in range(1, opt.epochs + 1):
+            shorter = OptimizerConfig(**{**opt.to_dict(), "epochs": epoch})
+            if self._equal(train(theta0, data, shorter, vocab, 16)[0], final):
+                return epoch
+        return None
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamw"])
+    @pytest.mark.parametrize("hidden", [False, True])
+    @pytest.mark.parametrize("with_validation", [False, True])
+    def test_stacked_train_equals_solo_runs(self, kind, hidden, with_validation):
+        docs, vocab, theta0, opt, slices = self._setup(kind, hidden)
+        validation = docs.subset(range(150, 200)) if with_validation else None
+        solo = [train(theta0, data, opt, vocab, 16, validation) for data in slices]
+        joined = docs.subset(range(self.K * self.SLICE))
+        initial = ModelParams.stack([theta0] * self.K)
+        stacked, traces = train(initial, joined, opt, vocab, 16, validation)
+        assert stacked.num_models == self.K
+        assert traces == [trace for _, trace in solo]
+        chosen = []
+        for model, (final, _), data in zip(stacked.models(), solo, slices):
+            assert self._equal(model, final)
+            epoch = self._chosen_epoch(model, theta0, data, opt, vocab)
+            assert epoch == self._chosen_epoch(final, theta0, data, opt, vocab)
+            chosen.append(epoch)
+        if with_validation:
+            # The snapshot is exercised: some model keeps an epoch before the last.
+            assert min(chosen) < self.EPOCHS
+        else:
+            assert chosen == [self.EPOCHS] * self.K
+        test = docs.subset(range(100, 150))
+        assert evaluate(stacked, test, vocab, 16) == [evaluate(f, test, vocab, 16) for f, _ in solo]
+
+    def test_non_finite_loss_in_one_model_raises(self):
+        docs, vocab, theta0, opt, _ = self._setup("sgd", False)
+        broken = theta0.copy()
+        broken.head_w[:] = 0.0
+        broken.head_b[:] = np.array([0.0, -np.inf, 0.0, 0.0], dtype=np.float32)
+        joined = docs.subset(range(self.K * self.SLICE))
+        stacked = ModelParams.stack([theta0, broken, theta0])
+        with pytest.raises(RuntimeError, match=r"^inf loss in epoch 0 batch \d+ of model 1$"):
+            train(stacked, joined, opt, vocab, 16)
+
+    def test_unequal_slices_rejected(self):
+        docs, vocab, theta0, opt, _ = self._setup("adam", False)
+        with pytest.raises(ValueError, match="equal slices"):
+            train(ModelParams.stack([theta0] * 2), docs.subset(range(31)), opt, vocab, 16)
+
+    def test_stack_round_trip(self):
+        cfg = ModelConfig(vocab_size=11, embed_dim=4, num_classes=3, hidden_layer=True)
+        models = [init_params(cfg, seed) for seed in range(3)]
+        stacked = ModelParams.stack(models)
+        assert stacked.num_models == 3 and models[0].num_models is None
+        assert len(models[0].models()) == 1 and models[0].models()[0] is models[0]
+        for got, want in zip(stacked.models(), models):
+            assert self._equal(got, want)
+            got.validate()
 
 
 class TestEvaluate:
