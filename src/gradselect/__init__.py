@@ -29,7 +29,6 @@ from .gradstore import (  # noqa: F401
     Projection,
     build_store,
     direction,
-    last_layer_grad,
     project,
     scan_scores,
 )
@@ -49,10 +48,8 @@ from .model import (  # noqa: F401
     ModelParams,
     OptimizerConfig,
     evaluate,
-    forward,
     init_params,
     load_checkpoint,
-    loss,
     optimizer_step,
     save_checkpoint,
     train,

@@ -127,28 +127,31 @@ def cmd_stage(args) -> int:
     subdirs = {"select": ["selections"], "retrain": ["retrained", "reports"], "metrics": ["reports"]}
     for sub in subdirs[stage]:
         (out / sub).mkdir(exist_ok=True)
+    chosen = {}
     for method in _methods_arg(config, args.method):
         result = harness.run_selection(config, ctx, artifacts, method, workspace)
-        docs = harness.selected_documents(pool, result, store)
+        chosen[method] = harness.selected_documents(pool, result, store)
         if stage == "select":
             path = out / "selections" / f"{method}.json"
             write_selection(
                 result, path, config.num_checkpoints, config.projection_dim, [ctx.run_seed]
             )
-            save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
+            save_jsonl(chosen[method], out / "selections" / f"{method}_docs.jsonl")
             print(f"{method}: {len(result.indices)} documents selected")
-        elif stage == "retrain":
-            ((cached, metrics),) = harness.retrain_selections(config, ctx, [docs], workspace)
+    if stage == "select":
+        return 0
+    # Every method selects first, so the retrains run in lockstep.
+    retrained = harness.retrain_selections(config, ctx, list(chosen.values()), workspace)
+    for (method, docs), (cached, metrics) in zip(chosen.items(), retrained):
+        if stage == "retrain":
             shutil.copyfile(cached, out / "retrained" / f"{method}.ckpt")
             report = json.dumps(metrics.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}_eval.json").write_text(report)
-            print(f"{method}: {report}")
         else:
-            ((_, metrics),) = harness.retrain_selections(config, ctx, [docs], workspace)
             scored = harness.score_selection(config, ctx, docs, ctx.train_docs, metrics)
             report = json.dumps(scored.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}.json").write_text(report)
-            print(f"{method}: {report}")
+        print(f"{method}: {report}")
     return 0
 
 

@@ -175,13 +175,6 @@ class TokenBatch:
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.ids.shape[1]
-
-    def row(self, i: int) -> TokenSeq:
-        return TokenSeq(self.ids[i], int(self.valid_len[i]))
-
 
 def load_jsonl(path: str | Path) -> DocumentSet:
     """Load documents from JSONL; ids are assigned 0..n-1 in file order.
@@ -219,15 +212,19 @@ def load_jsonl(path: str | Path) -> DocumentSet:
 
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
-    """Binary file handle on ``<path>.tmp``, renamed onto ``path`` when the block ends.
+    """Binary file handle on a temporary file, renamed onto ``path`` when the block ends.
 
-    On any error the temporary file is removed and ``path`` is left as it was,
-    so a reader never finds a partly written file there.
+    Each writer gets its own ``<path>.<random>.tmp`` in the same directory, so
+    two writers of one path (nested, or in two processes) never write into
+    the same file: the last rename wins with that writer's complete bytes. On
+    any error the writer's temporary file is removed and ``path`` is left as
+    it was, so a reader never finds a partly written file there.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

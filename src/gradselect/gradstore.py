@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import TokenBatch, TokenSeq, atomic_write
+from .corpus import TokenBatch, atomic_write
 from .model import (
     TASK_CLASSIFICATION,
     ModelParams,
@@ -196,19 +196,6 @@ def project(vec: np.ndarray, proj: Projection) -> np.ndarray:
             out += arr[:, r0:r1] @ signs
         out /= np.sqrt(proj.output_dim)
     return out[0] if single else out
-
-
-def last_layer_grad(params: ModelParams, x: TokenSeq, y=None) -> np.ndarray:
-    """Analytic gradient of the loss w.r.t. (head weight, head bias), flattened.
-
-    With softmax residual e = probs - onehot(target): the weight gradient is
-    outer(e, pooled_hidden) and the bias gradient is e; next-token averages
-    the per-position gradients over valid positions.
-    """
-    ids = np.asarray(x.ids, dtype=np.int64)[None, :]
-    lens = np.array([x.valid_len], dtype=np.int64)
-    labels = None if y is None else np.array([int(y)], dtype=np.int64)
-    return _last_layer_grad_batch(params, ids, lens, labels)[0]
 
 
 def _last_layer_grad_batch(

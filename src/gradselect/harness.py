@@ -19,6 +19,12 @@ seed). Stage artifacts (checkpoints, stores, selections and the models
 retrained on them) are content-addressed under ``<out_dir>/cache`` and keyed
 by the run seed, so cells of one seed reuse shared upstream work, two seed
 jobs never write the same file, and a warm run trains nothing.
+
+Every cache file is written through ``corpus.atomic_write`` (a temporary file
+of the writer's own, renamed into place), so a process killed at any point
+leaves each cache file as it was or complete, at worst beside an orphan
+``*.tmp``. Nothing calls ``fsync``: an OS crash or power loss may persist a
+rename before its data and leave a cache file empty or partly written.
 """
 
 from __future__ import annotations
@@ -327,7 +333,6 @@ def carve_validation(
 class RunContext:
     """Per-(config, seed) artifacts shared by every selection method."""
 
-    config: ExperimentConfig
     run_seed: int
     vocab: Vocab
     train_docs: DocumentSet
@@ -423,7 +428,6 @@ def prepare_run(
         save_checkpoint(theta0, theta0_path, meta)
         save_checkpoint(theta_f, thetaf_path, meta)
     return RunContext(
-        config=config,
         run_seed=run_seed,
         vocab=vocab,
         train_docs=train_docs,
@@ -655,35 +659,29 @@ def score_selection(
 ) -> MetricsReport:
     """Compare the selection to the reference set, next to its retrained model's test metrics."""
     containment = _stage("metrics", vocab_containment, selected, reference)
-    ot = _stage(
-        "metrics",
-        recovery_ot,
-        selected,
-        reference,
-        ctx,
-        config.ot_max_points,
-    )
+    ot = _stage("metrics", recovery_ot, config, ctx, selected, reference)
     return MetricsReport(eval_metrics, containment, ot)
 
 
 def recovery_ot(
+    config: ExperimentConfig,
+    ctx: RunContext,
     selected: DocumentSet,
     reference: DocumentSet,
-    ctx: RunContext,
-    max_points: int,
 ):
     """Exact OT between equal-size subsamples of the two sets.
 
-    Equal sizes keep the exact assignment path affordable at every scale the
+    Each subsample holds at most ``config.ot_max_points`` documents. Equal
+    sizes keep the exact assignment path affordable at every scale the
     harness produces; the subsample is seeded by the run seed so repeated
     calls in one run are comparable.
     """
-    n = min(len(selected), len(reference), max_points)
+    n = min(len(selected), len(reference), config.ot_max_points)
     rng = np.random.default_rng(ctx.run_seed + 77_000)
     sel = selected.subset(np.sort(rng.choice(len(selected), n, replace=False)))
     ref = reference.subset(np.sort(rng.choice(len(reference), n, replace=False)))
-    ea = embed(sel, ctx.theta0, ctx.vocab, ctx.config.seq_len)
-    eb = embed(ref, ctx.theta0, ctx.vocab, ctx.config.seq_len)
+    ea = embed(sel, ctx.theta0, ctx.vocab, config.seq_len)
+    eb = embed(ref, ctx.theta0, ctx.vocab, config.seq_len)
     return ot_distance(ea, eb, mode="auto")
 
 
@@ -847,9 +845,7 @@ def _replace_trial_rows(
                 Document(i, text, None) for i, text in enumerate(texts)
             )
             containment = _stage("metrics", vocab_containment, mixed, reference)
-            ot = _stage(
-                "metrics", recovery_ot, mixed, reference, ctx, config.ot_max_points
-            )
+            ot = _stage("metrics", recovery_ot, config, ctx, mixed, reference)
             rows.append({
                 "experiment": config.experiment, "method": "select", "seed": ctx.run_seed,
                 "replace_fraction": step, "trial": trial,

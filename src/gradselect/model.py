@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import DocumentSet, TokenSeq, Vocab, atomic_write, encode_documents
+from .corpus import DocumentSet, Vocab, atomic_write, encode_documents
 
 CHECKPOINT_MAGIC = b"SELC"
 CHECKPOINT_VERSION = 1
@@ -275,13 +275,6 @@ class EvalMetrics:
         }
 
 
-@dataclass(frozen=True)
-class ForwardPass:
-    pooled_hidden: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -383,43 +376,6 @@ def _residual(logp: np.ndarray, targets: np.ndarray, dtype) -> np.ndarray:
     err = np.exp(logp).astype(dtype)
     err.reshape(-1, err.shape[-1])[_at_targets(targets)] -= 1.0
     return err
-
-
-def forward(params: ModelParams, x: TokenSeq) -> ForwardPass:
-    """Single-example forward pass; next-token returns one row per position."""
-    if x.valid_len < 1:
-        raise ValueError("valid_len must be at least 1")
-    ids = np.asarray(x.ids, dtype=np.int64)[None, :]
-    lens = np.array([x.valid_len], dtype=np.int64)
-    _, z, logp, _, _ = _head_positions(params, ids, lens)
-    z, logp = z[0], logp[0]
-    if params.config.task == TASK_CLASSIFICATION:
-        z, logp = z[0], logp[0]
-    logits = z @ params.head_w.T + params.head_b
-    return ForwardPass(z, logits, np.exp(logp))
-
-
-def loss(params: ModelParams, x: TokenSeq, y=None) -> float:
-    """Cross-entropy for one example.
-
-    Classification scores label ``y``; next-token scores the sequence's own
-    next tokens and takes no ``y``.
-    """
-    labels = None
-    if params.config.task == TASK_CLASSIFICATION:
-        if y is None:
-            raise ValueError("classification loss needs a label")
-        y = int(y)
-        if not 0 <= y < params.config.num_classes:
-            raise ValueError(
-                f"label {y} out of range for {params.config.num_classes} classes"
-            )
-        labels = np.array([y], dtype=np.int64)
-    elif y is not None:
-        raise ValueError("next-token loss takes no label: its targets are the sequence itself")
-    ids = np.asarray(x.ids, dtype=np.int64)[None, :]
-    lens = np.array([x.valid_len], dtype=np.int64)
-    return float(_per_example_losses(params, ids, lens, labels)[0])
 
 
 def batch_mean_loss(
@@ -534,6 +490,20 @@ def optimizer_step(
     return params, state
 
 
+def _head_labels(docs: DocumentSet, config: ModelConfig) -> np.ndarray | None:
+    """The labels of non-empty ``docs`` for a classification head, None for next-token.
+
+    Raises ValueError if any label lies outside [0, C): indexing the head with
+    -1 would silently read the last class.
+    """
+    if config.task != TASK_CLASSIFICATION:
+        return None
+    labels = docs.labels()
+    if labels.min() < 0 or labels.max() >= config.num_classes:
+        raise ValueError("labels out of range for model head")
+    return labels
+
+
 def train(
     initial: ModelParams,
     data: DocumentSet,
@@ -561,17 +531,13 @@ def train(
     batch = encode_documents(data, vocab, seq_len)
     ids = batch.ids.reshape(*lead, -1, batch.ids.shape[-1])
     lens = batch.valid_len.reshape(*lead, -1)
-    labels = None
-    if initial.config.task == TASK_CLASSIFICATION:
-        labels = data.labels()
-        if labels.min() < 0 or labels.max() >= initial.config.num_classes:
-            raise ValueError("labels out of range for model head")
+    labels = _head_labels(data, initial.config)
+    if labels is not None:
         labels = labels.reshape(lens.shape)
     val_batch = val_labels = None
     if validation is not None and len(validation) > 0:
         val_batch = encode_documents(validation, vocab, seq_len)
-        if initial.config.task == TASK_CLASSIFICATION:
-            val_labels = validation.labels()
+        val_labels = _head_labels(validation, initial.config)
 
     params = initial.copy()
     state: OptimizerState | None = None
@@ -623,7 +589,7 @@ def evaluate(
     if len(test) == 0:
         raise ValueError("test set is empty")
     batch = encode_documents(test, vocab, seq_len)
-    labels = test.labels() if params.config.task == TASK_CLASSIFICATION else None
+    labels = _head_labels(test, params.config)
     out = []
     for model in params.models():
         _, _, logp, targets, mask = _head_positions(model, batch.ids, batch.valid_len, labels)

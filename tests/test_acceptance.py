@@ -27,7 +27,6 @@ from gradselect.gradstore import (
     _last_layer_grad_batch,
     build_store,
     direction,
-    last_layer_grad,
     project,
     scan_scores,
     write_store,
@@ -110,13 +109,10 @@ def test_criterion_01_gradient_oracle():
         valid = int(rng.integers(2, seq_len + 1))
         lens = np.array([valid])
         if task == "classification":
-            y = int(rng.integers(0, cfg.num_classes))
-            labels = np.array([y])
+            labels = np.array([rng.integers(0, cfg.num_classes)])
         else:
-            y, labels = None, None
-        from gradselect.corpus import TokenSeq
-
-        g = last_layer_grad(params, TokenSeq(ids[0].astype(np.int32), valid), y)
+            labels = None
+        g = _last_layer_grad_batch(params, ids, lens, labels)[0]
         head = cfg.head_dim
         flat_w = params.head_w.ravel()
         for idx in range(g.size):

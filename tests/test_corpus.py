@@ -6,6 +6,7 @@ import pytest
 from gradselect.corpus import (
     Document,
     DocumentSet,
+    atomic_write,
     build_vocab,
     encode_documents,
     load_jsonl,
@@ -218,3 +219,17 @@ class TestDocumentSet:
         batch = encode_documents(docs, vocab, 8)
         assert batch.ids.shape == (2, 8)
         assert batch.valid_len.tolist() == [2, 1]
+
+
+class TestAtomicWrite:
+    def test_nested_writers_of_one_path_keep_one_writers_bytes(self, tmp_path):
+        path = tmp_path / "f.bin"
+        with atomic_write(path) as outer:
+            outer.write(b"A" * 8)
+            outer.flush()
+            with atomic_write(path) as inner:
+                inner.write(b"B" * 4)
+            assert path.read_bytes() == b"B" * 4
+            outer.write(b"C" * 8)
+        assert path.read_bytes() == b"A" * 8 + b"C" * 8
+        assert not list(tmp_path.glob("*.tmp"))

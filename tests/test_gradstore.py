@@ -15,7 +15,6 @@ from gradselect.corpus import (
     Document,
     DocumentSet,
     TokenBatch,
-    TokenSeq,
     build_vocab,
     encode_documents,
 )
@@ -25,7 +24,6 @@ from gradselect.gradstore import (
     _last_layer_grad_batch,
     build_store,
     direction,
-    last_layer_grad,
     project,
     scan_scores,
     write_store,
@@ -61,7 +59,7 @@ class TestLastLayerGrad:
         cfg = ModelConfig(vocab_size=9, embed_dim=4, num_classes=3)
         params = init_params(cfg, 0)
         params.head_b[:] = np.array([60.0, 0.0, 0.0], dtype=np.float32)
-        g = last_layer_grad(params, TokenSeq(np.array([2, 3], dtype=np.int32), 2), 0)
+        g = _last_layer_grad_batch(params, np.array([[2, 3]]), np.array([2]), np.array([0]))[0]
         assert np.abs(g).max() < 1e-6
 
     def test_hand_case(self):
@@ -72,7 +70,7 @@ class TestLastLayerGrad:
         params.embedding[2] = np.array([1.0, 0.0], dtype=np.float32)
         params.head_w[:] = 0.0
         params.head_b[:] = 0.0
-        g = last_layer_grad(params, TokenSeq(np.array([2], dtype=np.int32), 1), 0)
+        g = _last_layer_grad_batch(params, np.array([[2]]), np.array([1]), np.array([0]))[0]
         assert np.allclose(g, [-0.5, 0.0, 0.5, 0.0, -0.5, 0.5], atol=1e-7)
 
     @pytest.mark.parametrize("task", ["classification", "next_token"])
@@ -84,9 +82,8 @@ class TestLastLayerGrad:
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 12, (1, 6)).astype(np.int64)
         lens = np.array([5])
-        y = 1 if task == "classification" else None
-        labels = np.array([1]) if y is not None else None
-        g = last_layer_grad(params, TokenSeq(ids[0].astype(np.int32), 5), y)
+        labels = np.array([1]) if task == "classification" else None
+        g = _last_layer_grad_batch(params, ids, lens, labels)[0]
         head_dim = cfg.head_dim
         flat_w = params.head_w.ravel()
         checked = rng.choice(g.size, min(40, g.size), replace=False)
@@ -331,7 +328,9 @@ class TestBuildStore:
         for _ in range(20):
             j = int(rng.integers(0, 3))
             i = int(rng.integers(0, 25))
-            g = last_layer_grad(schedule[j], batch.row(i), labels[i])
+            g = _last_layer_grad_batch(
+                schedule[j], batch.ids[i : i + 1], batch.valid_len[i : i + 1], labels[i : i + 1]
+            )[0]
             want = project(g, proj).astype(np.float32)
             assert np.allclose(store.row(j, i), want, rtol=1e-5, atol=1e-7)
 

@@ -984,6 +984,20 @@ class TestCLI:
         (cached,) = Workspace(config.out_dir).cache_dir.glob("retrain-*.ckpt")
         assert (out / "retrained" / "select.ckpt").read_bytes() == cached.read_bytes()
 
+    def test_retrain_all_methods_trains_in_lockstep(self, tmp_path, monkeypatch):
+        path, config = self._config_file(tmp_path)
+        sizes = count_models_per_call(monkeypatch)
+        assert cli_main(["retrain", "--config", str(path), "--method", "all"]) == 0
+        assert sizes == [len(config.methods)]
+        out, solo = tmp_path / "run", tmp_path / "solo"
+        for method in config.methods:
+            argv = ["retrain", "--config", str(path), "--method", method, "--out", str(solo)]
+            assert cli_main(argv) == 0
+        assert sizes == [len(config.methods)] + [1] * len(config.methods)
+        for method in config.methods:
+            for name in (f"retrained/{method}.ckpt", f"reports/{method}_eval.json"):
+                assert (out / name).read_bytes() == (solo / name).read_bytes()
+
     def test_wide_sketch_select_reports_requested_k(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path, projection_dim=128)
         assert cli_main(["build-store", "--config", str(path)]) == 0

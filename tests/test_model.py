@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import padded, padding_case, reference_losses
-from gradselect.corpus import Document, DocumentSet, TokenSeq, build_vocab
+from gradselect.corpus import Document, DocumentSet, build_vocab
 from gradselect.model import (
     TASKS,
     EvalMetrics,
@@ -15,21 +15,21 @@ from gradselect.model import (
     batch_loss_and_grads,
     batch_mean_loss,
     evaluate,
-    forward,
     init_params,
     load_checkpoint,
-    loss,
     optimizer_step,
     save_checkpoint,
     train,
+    _head_positions,
     _per_example_losses,
 )
 from gradselect.toycorpus import make_classification_corpus
 
 
-def seq(ids, valid_len=None):
-    arr = np.asarray(ids, dtype=np.int32)
-    return TokenSeq(arr, valid_len if valid_len is not None else int((arr != 0).sum()))
+def one_row(ids, valid_len=None):
+    """One document as a one-row batch: (1, s) ids and its (1,) valid length."""
+    arr = np.asarray(ids, dtype=np.int64)[None, :]
+    return arr, np.array([valid_len if valid_len is not None else int((arr != 0).sum())])
 
 
 class TestInitParams:
@@ -67,8 +67,9 @@ class TestForward:
         params = init_params(cfg, 0)
         params.embedding[:] = 0.0
         params.head_b[:] = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-        out = forward(params, seq([2, 5, 0, 0]))
-        assert np.allclose(out.logits, params.head_b)
+        _, _, logp, _, _ = _head_positions(params, *one_row([2, 5, 0, 0]))
+        bias = params.head_b.astype(np.float64)
+        assert np.allclose(np.exp(logp[0, 0]), np.exp(bias) / np.exp(bias).sum())
 
     def test_probs_sum_to_one(self):
         cfg = ModelConfig(vocab_size=30, embed_dim=6, num_classes=5, hidden_layer=True)
@@ -76,26 +77,26 @@ class TestForward:
         rng = np.random.default_rng(0)
         for _ in range(20):
             ids = rng.integers(2, 30, size=8)
-            out = forward(params, seq(ids))
-            assert abs(out.probs.sum() - 1.0) < 1e-6
+            _, _, logp, _, _ = _head_positions(params, *one_row(ids))
+            assert abs(np.exp(logp).sum() - 1.0) < 1e-6
 
     def test_permutation_invariant_pooling(self):
         cfg = ModelConfig(vocab_size=30, embed_dim=6, num_classes=4)
         params = init_params(cfg, 1)
-        a = forward(params, seq([3, 7, 9, 0], 3))
-        b = forward(params, seq([9, 3, 7, 0], 3))
-        assert np.allclose(a.pooled_hidden, b.pooled_hidden, atol=1e-6)
+        a = _head_positions(params, *one_row([3, 7, 9, 0], 3))[0]
+        b = _head_positions(params, *one_row([9, 3, 7, 0], 3))[0]
+        assert np.allclose(a, b, atol=1e-6)
 
     def test_zero_valid_len_rejected(self):
         cfg = ModelConfig(vocab_size=9, embed_dim=4, num_classes=3)
         with pytest.raises(ValueError):
-            forward(init_params(cfg, 0), seq([0, 0], 0))
+            _head_positions(init_params(cfg, 0), *one_row([0, 0], 0))
 
     def test_next_token_shapes(self):
         cfg = ModelConfig(vocab_size=11, embed_dim=4, task="next_token")
-        out = forward(init_params(cfg, 0), seq([2, 3, 4, 0], 3))
-        assert out.logits.shape == (2, 11)
-        assert np.allclose(out.probs.sum(axis=1), 1.0, atol=1e-6)
+        _, _, logp, _, _ = _head_positions(init_params(cfg, 0), *one_row([2, 3, 4, 0], 3))
+        assert logp.shape == (1, 2, 11)
+        assert np.allclose(np.exp(logp).sum(axis=-1), 1.0, atol=1e-6)
 
 
 class TestLoss:
@@ -104,7 +105,7 @@ class TestLoss:
         params = init_params(cfg, 0)
         params.embedding[:] = 0.0
         params.head_b[:] = np.array([40.0, 0.0, 0.0], dtype=np.float32)
-        assert loss(params, seq([2, 3]), 0) < 1e-6
+        assert _per_example_losses(params, *one_row([2, 3]), np.array([0]))[0] < 1e-6
 
     def test_uniform_probs_log_c(self):
         cfg = ModelConfig(vocab_size=9, embed_dim=4, num_classes=4)
@@ -112,7 +113,8 @@ class TestLoss:
         params.embedding[:] = 0.0
         params.head_w[:] = 0.0
         params.head_b[:] = 0.0
-        assert abs(loss(params, seq([2, 3]), 1) - np.log(4)) < 1e-6
+        loss = _per_example_losses(params, *one_row([2, 3]), np.array([1]))[0]
+        assert abs(loss - np.log(4)) < 1e-6
 
     def test_non_negative(self):
         cfg = ModelConfig(vocab_size=40, embed_dim=8, num_classes=5, hidden_layer=True)
@@ -120,26 +122,13 @@ class TestLoss:
         rng = np.random.default_rng(1)
         for _ in range(25):
             ids = rng.integers(2, 40, size=10)
-            assert loss(params, seq(ids), int(rng.integers(0, 5))) >= 0.0
-
-    def test_invalid_label_rejected(self):
-        cfg = ModelConfig(vocab_size=9, embed_dim=4, num_classes=3)
-        with pytest.raises(ValueError, match="label"):
-            loss(init_params(cfg, 0), seq([2, 3]), 7)
+            label = np.array([rng.integers(0, 5)])
+            assert _per_example_losses(params, *one_row(ids), label)[0] >= 0.0
 
     def test_next_token_needs_two_tokens(self):
         cfg = ModelConfig(vocab_size=9, embed_dim=4, task="next_token")
         with pytest.raises(ValueError, match="2 tokens"):
-            loss(init_params(cfg, 0), seq([2, 0], 1))
-
-    def test_next_token_takes_no_label(self):
-        cfg = ModelConfig(vocab_size=9, embed_dim=4, task="next_token")
-        params = init_params(cfg, 0)
-        x = seq([2, 3, 4, 0], 3)
-        ids, lens = np.asarray(x.ids)[None, :], np.array([3])
-        assert loss(params, x) == _per_example_losses(params, ids, lens, None)[0]
-        with pytest.raises(ValueError, match="no label"):
-            loss(params, x, [2, 3, 4, 0])
+            _per_example_losses(init_params(cfg, 0), *one_row([2, 0], 1), None)
 
 
 class TestGradients:
@@ -339,6 +328,15 @@ class TestTrain:
         with pytest.raises(RuntimeError, match=r"^inf loss in epoch 0 batch \d+$"):
             train(theta0, docs, opt, vocab, 8)
 
+    def test_invalid_validation_label_rejected(self):
+        docs = _toy_two_class(40)
+        vocab = build_vocab(docs, 32)
+        cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
+        validation = DocumentSet([*docs.subset(range(9)), Document(9, "hot thing", 2)])
+        opt = OptimizerConfig(kind="sgd", learning_rate=0.1, epochs=1, batch_size=8, seed=0)
+        with pytest.raises(ValueError, match="label"):
+            train(init_params(cfg, 0), docs, opt, vocab, 8, validation=validation)
+
     def test_empty_data_rejected(self):
         vocab = build_vocab(_toy_two_class(4), 32)
         cfg = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_classes=2)
@@ -452,6 +450,23 @@ class TestEvaluate:
         metrics = evaluate(params, docs, vocab, 4)
         assert metrics.accuracy == 1.0
         assert metrics.mean_loss < 1e-6
+
+    def _labelled(self, label):
+        """A 3-class model and 20 documents, the last of them labelled ``label``."""
+        docs = DocumentSet(Document(i, f"w{i % 5} x", i % 3 if i < 19 else label) for i in range(20))
+        vocab = build_vocab(docs, 16)
+        return init_params(ModelConfig(vocab_size=vocab.size, embed_dim=4, num_classes=3), 0), docs, vocab
+
+    def test_invalid_label_rejected(self):
+        params, docs, vocab = self._labelled(3)
+        with pytest.raises(ValueError, match="label"):
+            evaluate(params, docs, vocab, 8)
+
+    def test_negative_label_rejected(self):
+        # -1 would index the last class and score as a wrong prediction.
+        params, docs, vocab = self._labelled(-1)
+        with pytest.raises(ValueError, match="label"):
+            evaluate(params, docs, vocab, 8)
 
     def test_uniform_next_token_perplexity_is_vocab_size(self):
         docs = DocumentSet(Document(i, "a b c d", None) for i in range(5))
