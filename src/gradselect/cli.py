@@ -11,8 +11,10 @@ out_dir. Run in sequence, each command re-runs the prefix before it, which the
 content-addressed cache turns into reads of the victim, store, selections and
 retrained models that earlier commands wrote: ``retrain`` copies the cached
 model out, and ``metrics`` reads its metrics instead of training again. The
-experiment command runs a whole grid and emits report.json / report.csv /
-figures.
+``expert`` method selects nothing: ``select`` skips it, and ``retrain`` and
+``metrics`` train and score it on the training set, as the experiment runner
+does. The experiment command runs a whole grid and emits report.json /
+report.csv / figures.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ def cmd_stage(args) -> int:
         (out / sub).mkdir(exist_ok=True)
     chosen = {}
     for method in _methods_arg(config, args.method):
+        if method == "expert":
+            # The expert selects nothing; it is retrained and scored on the training set.
+            if stage == "select":
+                print("expert: no selection (retrain and metrics use the training set)")
+            else:
+                chosen[method] = ctx.train_docs
+            continue
         result = harness.run_selection(config, ctx, artifacts, method, workspace)
         chosen[method] = harness.selected_documents(pool, result, store)
         if stage == "select":
@@ -142,13 +151,14 @@ def cmd_stage(args) -> int:
         return 0
     # Every method selects first, so the retrains run in lockstep.
     retrained = harness.retrain_selections(config, ctx, list(chosen.values()), workspace)
+    reference = harness.Reference(ctx.train_docs) if stage == "metrics" else None
     for (method, docs), (cached, metrics) in zip(chosen.items(), retrained):
         if stage == "retrain":
             shutil.copyfile(cached, out / "retrained" / f"{method}.ckpt")
             report = json.dumps(metrics.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}_eval.json").write_text(report)
         else:
-            scored = harness.score_selection(config, ctx, docs, ctx.train_docs, metrics)
+            scored = harness.score_selection(config, ctx, docs, reference, metrics)
             report = json.dumps(scored.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}.json").write_text(report)
         print(f"{method}: {report}")

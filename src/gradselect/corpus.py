@@ -9,6 +9,7 @@ and unknown ids.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -28,6 +29,10 @@ UNK_ID = 1
 NUM_RESERVED = 2
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# Non-blank JSONL lines parsed by one json.loads (load_jsonl).
+_JSONL_CHUNK_LINES = 1024
+# "}" "," "{" with JSON whitespace between but no line break: two objects on one line.
+_OBJECT_PAIR_RE = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 
 
 def split_tokens(text: str) -> list[str]:
@@ -43,7 +48,13 @@ class Document:
 
 
 class DocumentSet:
-    """Ordered collection of documents with unique non-negative ids."""
+    """Ordered collection of documents with unique non-negative ids.
+
+    The constructor checks every document. The derived sets (``subset``,
+    ``with_labels``, ``unlabeled``) and ``load_jsonl`` build their documents
+    valid by construction and skip that check; ``subset`` still rejects a
+    repeated document.
+    """
 
     def __init__(self, docs: Iterable[Document]):
         self._docs = tuple(docs)
@@ -56,6 +67,13 @@ class DocumentSet:
             if not d.text.strip():
                 raise ValueError(f"document {d.id} has empty text")
             seen.add(d.id)
+
+    @classmethod
+    def _trusted(cls, docs: tuple[Document, ...]) -> "DocumentSet":
+        """A set over documents whose ids and texts are valid by construction."""
+        out = cls.__new__(cls)
+        out._docs = docs
+        return out
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -87,24 +105,30 @@ class DocumentSet:
         return all(d.label is not None for d in self._docs)
 
     def subset(self, positions: Sequence[int]) -> "DocumentSet":
-        return DocumentSet(self._docs[int(p)] for p in positions)
+        docs = tuple(self._docs[int(p)] for p in positions)
+        if len({d.id for d in docs}) < len(docs):
+            return DocumentSet(docs)  # raises, naming the repeated id
+        return DocumentSet._trusted(docs)
 
     def with_labels(self, labels: Sequence[int]) -> "DocumentSet":
         """Same documents with labels replaced (e.g. pseudolabels)."""
         if len(labels) != len(self._docs):
             raise ValueError("label count does not match document count")
-        return DocumentSet(
-            Document(d.id, d.text, int(y)) for d, y in zip(self._docs, labels)
+        return DocumentSet._trusted(
+            tuple(Document(d.id, d.text, int(y)) for d, y in zip(self._docs, labels))
         )
 
-    def without_labels(self) -> "DocumentSet":
-        return DocumentSet(Document(d.id, d.text, None) for d in self._docs)
+    def unlabeled(self, positions: Sequence[int] | None = None) -> "DocumentSet":
+        """The documents at ``positions`` (all by default), unlabeled, ids 0..n-1 in that order.
 
-    def reindexed(self) -> "DocumentSet":
-        """Reassign ids densely as 0..n-1 in current order."""
-        return DocumentSet(
-            Document(i, d.text, d.label) for i, d in enumerate(self._docs)
-        )
+        A set that already is so (an unlabeled corpus file) is returned as is.
+        """
+        if positions is None:
+            if all(d.label is None and d.id == i for i, d in enumerate(self._docs)):
+                return self
+            positions = range(len(self._docs))
+        docs = (self._docs[int(p)] for p in positions)
+        return DocumentSet._trusted(tuple(Document(i, d.text) for i, d in enumerate(docs)))
 
 
 @dataclass(frozen=True)
@@ -181,33 +205,61 @@ def load_jsonl(path: str | Path) -> DocumentSet:
 
     Records whose text is empty after trimming are skipped (with a logged
     count); a record lacking "text" or failing to parse is an error naming
-    the offending line.
+    the offending line. Lines are parsed ``_JSONL_CHUNK_LINES`` at a time
+    (``_parse_lines``).
     """
     docs: list[Document] = []
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "text" not in record:
-                raise ValueError(f"line {lineno}: missing text")
-            text = record["text"]
-            if not isinstance(text, str):
-                raise ValueError(f"line {lineno}: text is not a string")
-            if not text.strip():
-                skipped += 1
-                continue
-            label = record.get("label")
-            if label is not None:
-                label = int(label)
-            docs.append(Document(len(docs), text, label))
+        numbered = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+        while chunk := list(itertools.islice(numbered, _JSONL_CHUNK_LINES)):
+            for lineno, record in _parse_lines(chunk):
+                if not isinstance(record, dict) or "text" not in record:
+                    raise ValueError(f"line {lineno}: missing text")
+                text = record["text"]
+                if not isinstance(text, str):
+                    raise ValueError(f"line {lineno}: text is not a string")
+                if not text.strip():
+                    skipped += 1
+                    continue
+                label = record.get("label")
+                if label is not None:
+                    label = int(label)
+                docs.append(Document(len(docs), text, label))
     if skipped:
         logger.warning("skipped %d empty-text records in %s", skipped, path)
-    return DocumentSet(docs)
+    return DocumentSet._trusted(tuple(docs))
+
+
+def _parse_lines(chunk: list[tuple[int, str]]) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each numbered line of ``chunk``.
+
+    One ``json.loads`` parses the lines joined into a JSON array. Its
+    elements are the lines' values when there is one element per line, every
+    element is an object, and no line holds "}" "," "{" (with only
+    whitespace between): a line that held two objects, or a value that
+    spanned lines, would need such a comma inside a line. Otherwise each
+    line is parsed alone, so an error names its own line.
+    """
+    joined = "[" + ",".join(line for _, line in chunk) + "]"
+    try:
+        values = json.loads(joined)
+    except (ValueError, RecursionError):
+        values = None
+    if (
+        values is not None
+        and len(values) == len(chunk)
+        and all(type(v) is dict for v in values)
+        and not _OBJECT_PAIR_RE.search(joined)
+    ):
+        yield from zip((n for n, _ in chunk), values)
+        return
+    for lineno, line in chunk:
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
+        yield lineno, value
 
 
 @contextmanager

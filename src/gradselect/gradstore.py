@@ -3,9 +3,12 @@
 The last layer of the victim model (head weight + bias) has dimension
 D = C*h + C, which is too large to keep per example once pools reach web
 scale. Each gradient g is therefore sketched as A^T g, with A (D x k) =
-S/sqrt(k) a seeded Rademacher projection whose (row, column) sign entries
-S are defined by a counter-based hash, so any row of S can be regenerated
-exactly.
+S/sqrt(k) a seeded Rademacher projection. Sign entry S[r, c] is bit c of the
+Philox4x64-10 stream keyed by (r, seed), the stream
+``np.random.Philox(key=(seed << 64) | r)`` draws: a counter-based generator,
+so any row of S can be regenerated exactly and on its own. The signs of all
+D rows are computed at once, in numpy, in blocks of rows (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
 
 Rows have width min(k, D). For k < D a row is the sketch A^T g itself. For
 k >= D a k-wide sketch would only add bytes, so a row is W g instead, with
@@ -71,6 +74,17 @@ _PROJECT_BLOCK_ROWS = 1024
 # this many bytes (D*k*8: 11 MB for D=2771, k=512); larger ones are unpacked
 # on every call.
 _DENSE_SIGNS_MAX_BYTES = 64 << 20
+# Philox4x64-10 multipliers and Weyl key increments (Random123, numpy).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Philox counters (4 words each) per block of sign rows; bounds the block's
+# uint64 temporaries to a few MB whatever D is.
+_SIGN_BLOCK_COUNTERS = 1 << 16
+# Row b: the +-1 signs of the bits of byte b, least significant bit first.
+_BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+)
 # Rows per float64 slice of the GradientStore.scores pass.
 _READ_BLOCK_ROWS = 1024
 # Byte alignment of the data section (the header is space-padded up to it).
@@ -81,9 +95,11 @@ _DATA_ALIGN = 64
 class Projection:
     """Seeded Rademacher (+-1/sqrt(k)) sketch defined entry-wise by a hash.
 
-    Entry (r, c) is the c-th sign bit of a Philox stream keyed by
-    (seed, r), so rows can be regenerated independently and identically
-    regardless of block sizes. ``project`` maps into ``width`` =
+    Entry (r, c) is the c-th sign bit of the Philox4x64-10 stream keyed by
+    (r, seed): bit c % 64 of word c // 64 of
+    ``np.random.Philox(key=(seed << 64) | r).random_raw``. The bits of all
+    rows are computed at once (``_philox_words``); entry (r, c) does not
+    depend on the block sizes. ``project`` maps into ``width`` =
     min(input_dim, output_dim) dimensions.
     """
 
@@ -109,20 +125,24 @@ class Projection:
         if self._packed is None:
             n_bytes = (self.output_dim + 7) // 8
             n_words = (n_bytes + 7) // 8
-            key_hi = self.seed % (1 << 64)
+            n_counters = (n_words + 3) // 4
+            step = max(1, _SIGN_BLOCK_COUNTERS // n_counters)
             packed = np.empty((self.input_dim, n_bytes), dtype=np.uint8)
-            for r in range(self.input_dim):
-                bg = np.random.Philox(key=(key_hi << 64) | r)
-                raw = bg.random_raw(n_words)
-                packed[r] = np.frombuffer(raw.tobytes(), dtype=np.uint8)[:n_bytes]
+            for r0 in range(0, self.input_dim, step):
+                rows = np.arange(r0, min(r0 + step, self.input_dim), dtype=np.uint64)
+                words = _philox_words(rows, self.seed % (1 << 64), n_counters)
+                packed[r0 : r0 + len(rows)] = (
+                    words[:, :n_words].astype("<u8").view(np.uint8)[:, :n_bytes]
+                )
             self._packed = packed
         return self._packed
 
     def sign_block(self, r_start: int, r_stop: int, dtype=np.float64) -> np.ndarray:
-        """Dense +-1 sign rows for input dimensions [r_start, r_stop)."""
+        """Dense +-1 sign rows for input dimensions [r_start, r_stop), eight per packed byte."""
         packed = self._packed_bits()[r_start:r_stop]
-        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, : self.output_dim]
-        return 1.0 - 2.0 * bits.astype(dtype)
+        signs = np.take(_BYTE_SIGNS.astype(dtype, copy=False), packed, axis=0)
+        signs = signs.reshape(len(packed), -1)
+        return np.ascontiguousarray(signs[:, : self.output_dim])
 
     def sign_blocks(self) -> Iterable[tuple[int, int, np.ndarray]]:
         """(r_start, r_stop, dense signs) per ``_PROJECT_BLOCK_ROWS`` input rows.
@@ -171,6 +191,36 @@ class Projection:
             output_dim=int(data["output_dim"]),
             seed=int(data["seed"]),
         )
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    carry = ((a_lo * b_lo) >> 32) + (lo_hi & 0xFFFFFFFF) + (hi_lo & 0xFFFFFFFF)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32), np.uint64(a) * b
+
+
+def _philox_words(rows: np.ndarray, seed: int, n_counters: int) -> np.ndarray:
+    """(len(rows), 4 * n_counters) uint64: the first words of each row's Philox stream.
+
+    Row r's stream is Philox4x64-10 under key (r, seed) of the counters
+    1, 2, ..., each giving four words: the words of
+    ``np.random.Philox(key=(seed << 64) | r).random_raw``.
+    """
+    shape = (len(rows), n_counters)
+    c0 = np.broadcast_to(np.arange(1, n_counters + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = rows[:, None], seed
+    for i in range(_PHILOX_ROUNDS):
+        if i:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = (k1 + _PHILOX_W[1]) % (1 << 64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(rows), -1)
 
 
 def project(vec: np.ndarray, proj: Projection) -> np.ndarray:

@@ -20,6 +20,15 @@ retrained on them) are content-addressed under ``<out_dir>/cache`` and keyed
 by the run seed, so cells of one seed reuse shared upstream work, two seed
 jobs never write the same file, and a warm run trains nothing.
 
+A warm run (every stage a cache hit) trains, autolabels, builds and selects
+nothing. Per cell it still reads and splits the corpus, builds the
+vocabulary, reads the pool (each document set built once), hashes the pool
+and the selections for their cache keys, regenerates the sketch signs to
+project the directions, reads the cached selections and the retrained
+models' metrics, and scores every selection: the reference token set and the
+reference subsample's embedding once per cell (``Reference``), each
+selection's tokens, embedding and OT distance once per method.
+
 Every cache file is written through ``corpus.atomic_write`` (a temporary file
 of the writer's own, renamed into place), so a process killed at any point
 leaves each cache file as it was or complete, at worst beside an orphan
@@ -55,7 +64,15 @@ from .corpus import (
     split,
 )
 from .gradstore import GradientStore, Projection, build_store, direction
-from .metrics import MetricsReport, embed, ot_distance, retrain_and_eval, vocab_containment
+from .metrics import (
+    EmbeddingSet,
+    MetricsReport,
+    embed,
+    ot_distance,
+    retrain_and_eval,
+    token_set,
+    vocab_containment,
+)
 from .model import (
     TASK_CLASSIFICATION,
     TASK_NEXT_TOKEN,
@@ -310,11 +327,9 @@ def _file_digest(path: str | Path) -> str:
 
 
 def _docs_digest(docs: DocumentSet) -> str:
-    digest = hashlib.sha256()
-    for d in docs:
-        digest.update(d.text.encode())
-        digest.update(str(d.label).encode())
-    return digest.hexdigest()[:16]
+    """sha256 of each document's text followed by its label ("None" when unlabeled)."""
+    data = "".join([d.text + str(d.label) for d in docs]).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def carve_validation(
@@ -453,8 +468,8 @@ def build_candidate_pool(config: ExperimentConfig, ctx: RunContext) -> DocumentS
     if config.pool_size is not None and config.pool_size < len(docs):
         rng = np.random.default_rng(ctx.run_seed + 10_000)
         keep = rng.choice(len(docs), size=config.pool_size, replace=False)
-        docs = docs.subset(np.sort(keep))
-    return docs.without_labels().reindexed()
+        return docs.unlabeled(np.sort(keep))
+    return docs.unlabeled()
 
 
 def autolabel_pool(
@@ -650,15 +665,33 @@ def retrain_selections(
     return [(p, EvalMetrics(**json.loads(Path(f"{p}.meta.json").read_text()))) for p in paths]
 
 
+@dataclass
+class Reference:
+    """The set a cell's selections are scored against, with what scoring reads of it.
+
+    Both are computed once per cell instead of once per method: ``tokens``,
+    its token set, and ``embedded``, the embedding of the OT subsample
+    ``recovery_ot`` draws from it, kept per selection size (the subsample
+    depends on nothing else within one cell).
+    """
+
+    docs: DocumentSet
+    tokens: frozenset[str] = field(init=False)
+    embedded: dict[int, EmbeddingSet] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.tokens = token_set(self.docs)
+
+
 def score_selection(
     config: ExperimentConfig,
     ctx: RunContext,
     selected: DocumentSet,
-    reference: DocumentSet,
+    reference: Reference,
     eval_metrics: EvalMetrics,
 ) -> MetricsReport:
     """Compare the selection to the reference set, next to its retrained model's test metrics."""
-    containment = _stage("metrics", vocab_containment, selected, reference)
+    containment = _stage("metrics", vocab_containment, selected, reference.tokens)
     ot = _stage("metrics", recovery_ot, config, ctx, selected, reference)
     return MetricsReport(eval_metrics, containment, ot)
 
@@ -667,22 +700,25 @@ def recovery_ot(
     config: ExperimentConfig,
     ctx: RunContext,
     selected: DocumentSet,
-    reference: DocumentSet,
+    reference: Reference,
 ):
     """Exact OT between equal-size subsamples of the two sets.
 
     Each subsample holds at most ``config.ot_max_points`` documents. Equal
     sizes keep the exact assignment path affordable at every scale the
     harness produces; the subsample is seeded by the run seed so repeated
-    calls in one run are comparable.
+    calls in one run are comparable. The reference subsample is drawn after
+    the selected one from the same generator, so it depends only on
+    ``len(selected)``: its embedding is computed once per size.
     """
-    n = min(len(selected), len(reference), config.ot_max_points)
+    n = min(len(selected), len(reference.docs), config.ot_max_points)
     rng = np.random.default_rng(ctx.run_seed + 77_000)
     sel = selected.subset(np.sort(rng.choice(len(selected), n, replace=False)))
-    ref = reference.subset(np.sort(rng.choice(len(reference), n, replace=False)))
+    if len(selected) not in reference.embedded:
+        ref = reference.docs.subset(np.sort(rng.choice(len(reference.docs), n, replace=False)))
+        reference.embedded[len(selected)] = embed(ref, ctx.theta0, ctx.vocab, config.seq_len)
     ea = embed(sel, ctx.theta0, ctx.vocab, config.seq_len)
-    eb = embed(ref, ctx.theta0, ctx.vocab, config.seq_len)
-    return ot_distance(ea, eb, mode="auto")
+    return ot_distance(ea, reference.embedded[len(selected)], mode="auto")
 
 
 def _method_row(
@@ -810,12 +846,15 @@ def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
             continue
         result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
         chosen.append((method, selected_documents(pool, result, artifacts.store), result))
+    reference = Reference(ctx.train_docs)
     if config.experiment == "metric_ablation":
-        return [row for _, docs, _ in chosen for row in _replace_trial_rows(config, ctx, docs)]
+        return [
+            row for _, docs, _ in chosen for row in _replace_trial_rows(config, ctx, docs, reference)
+        ]
     retrained = retrain_selections(config, ctx, [selected for _, selected, _ in chosen], workspace)
     rows = []
     for (method, selected, result), (_, eval_metrics) in zip(chosen, retrained):
-        report = score_selection(config, ctx, selected, ctx.train_docs, eval_metrics)
+        report = score_selection(config, ctx, selected, reference, eval_metrics)
         row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
         if leak_fraction is not None:
             row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())
@@ -824,12 +863,12 @@ def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
 
 
 def _replace_trial_rows(
-    config: ExperimentConfig, ctx: RunContext, recovered: DocumentSet
+    config: ExperimentConfig, ctx: RunContext, recovered: DocumentSet, reference: Reference
 ) -> list[dict]:
     """Swap recovered documents for ground truth stepwise, watch both metrics."""
     steps = config.params.get("replace_steps") or [round(0.1 * i, 1) for i in range(11)]
     trials = int(config.params.get("trials") or 5)
-    reference = ctx.train_docs
+    truth = reference.docs
     num_select = len(recovered)
     rows: list[dict] = []
     for step in steps:
@@ -837,14 +876,14 @@ def _replace_trial_rows(
         for trial in range(trials):
             rng = np.random.default_rng(ctx.run_seed * 1000 + trial)
             replace_pos = rng.choice(num_select, size=n_replace, replace=False)
-            truth_pos = rng.choice(len(reference), size=n_replace, replace=False)
+            truth_pos = rng.choice(len(truth), size=n_replace, replace=False)
             texts = [d.text for d in recovered]
             for p, t in zip(replace_pos, truth_pos):
-                texts[int(p)] = reference[int(t)].text
+                texts[int(p)] = truth[int(t)].text
             mixed = DocumentSet(
                 Document(i, text, None) for i, text in enumerate(texts)
             )
-            containment = _stage("metrics", vocab_containment, mixed, reference)
+            containment = _stage("metrics", vocab_containment, mixed, reference.tokens)
             ot = _stage("metrics", recovery_ot, config, ctx, mixed, reference)
             rows.append({
                 "experiment": config.experiment, "method": "select", "seed": ctx.run_seed,

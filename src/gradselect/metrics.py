@@ -10,6 +10,7 @@ regularized Sinkhorn iterations.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +65,25 @@ class OTResult:
         }
 
 
-def vocab_containment(a: DocumentSet, b: DocumentSet) -> float:
-    """max(|Ta & Tb| / |Ta|, |Ta & Tb| / |Tb|) over the two token sets."""
+def token_set(docs: DocumentSet) -> frozenset[str]:
+    """Every token of the documents (``split_tokens``)."""
+    tokens: set[str] = set()
+    for d in docs:
+        tokens.update(split_tokens(d.text))
+    return frozenset(tokens)
+
+
+def vocab_containment(
+    a: DocumentSet | AbstractSet[str], b: DocumentSet | AbstractSet[str]
+) -> float:
+    """max(|Ta & Tb| / |Ta|, |Ta & Tb| / |Tb|) over the two token sets.
+
+    Either side may be given as its token set (``token_set``), so a set
+    scored against many selections is tokenized once.
+    """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("containment needs two non-empty document sets")
-    ta: set[str] = set()
-    for d in a:
-        ta.update(split_tokens(d.text))
-    tb: set[str] = set()
-    for d in b:
-        tb.update(split_tokens(d.text))
+    ta, tb = (x if isinstance(x, AbstractSet) else token_set(x) for x in (a, b))
     if not ta or not tb:
         raise ValueError("containment needs non-empty token sets")
     inter = len(ta & tb)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gradselect import corpus
 from gradselect.corpus import (
     Document,
     DocumentSet,
@@ -57,6 +58,63 @@ class TestLoadJsonl:
         assert [d.text for d in docs] == ["a", "b"]
         assert [d.id for d in docs] == [0, 1]
 
+    @pytest.mark.parametrize("chunk", [3, 1024])
+    def test_invalid_line_inside_a_chunk_names_its_own_line(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(corpus, "_JSONL_CHUNK_LINES", chunk)
+        lines = ['{"text": "a"}', "", "  ", '{"text": "b"}', '{"text": "c"', '{"text": "d"}']
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 5: invalid JSON"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ['{"text": "a"}', '{"text": "a"}, {"text": "b"}', '{"text": "c"}'],
+            ['{"text": "a"}', '{"text":"a"} ,\t{"text":"b"}'],
+            # One value over two lines and two values on one line keep the
+            # count of values equal to the count of lines.
+            ['{"text": "z", "x": [[{}', '{}]]}', '{"text": "b"}, {"text": "c"}'],
+        ],
+    )
+    def test_line_that_is_not_one_value_rejected_at_that_line(self, tmp_path, lines):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        bad = next(i for i, line in enumerate(lines, start=1) if not _one_value(line))
+        with pytest.raises(ValueError, match=f"line {bad}: invalid JSON"):
+            load_jsonl(path)
+
+    def test_first_bad_line_wins_across_kinds_of_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "a"}\n[1, 2]\nnot json\n')
+        with pytest.raises(ValueError, match="line 2: missing text"):
+            load_jsonl(path)
+
+    def test_blank_lines_and_empty_text_skip_count(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\n{"text": "a"}\n \t\n{"text": " "}\n\u00a0\n{"text": "b", "label": 2}\n{"text": ""}')
+        with caplog.at_level("WARNING", logger="gradselect.corpus"):
+            docs = load_jsonl(path)
+        assert [(d.id, d.text, d.label) for d in docs] == [(0, "a", None), (1, "b", 2)]
+        assert "skipped 2 empty-text records" in caplog.text
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    def test_chunked_parse_equals_one_line_at_a_time(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(corpus, "_JSONL_CHUNK_LINES", chunk)
+        rng = np.random.default_rng(0)
+        records = []
+        for i in range(50):
+            record = {"id": i, "text": f"doc {i} \u00e9\u65e5 {{}}, {{ [x]"}
+            if i % 3:
+                record["label"] = int(rng.integers(0, 4))
+            records.append(record)
+        records[10]["text"] = "  "
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, records)
+        want = [r for r in records if r["text"].strip()]
+        want = DocumentSet(Document(i, r["text"], r.get("label")) for i, r in enumerate(want))
+        assert list(load_jsonl(path)) == list(want)
+
     def test_round_trip_with_leak_mask(self, tmp_path, make_docs):
         docs = make_docs(["x y", "z w"], [0, None])
         path = tmp_path / "out.jsonl"
@@ -65,6 +123,53 @@ class TestLoadJsonl:
         assert lines[0] == {"id": 0, "text": "x y", "label": 0, "leaked": True}
         assert lines[1] == {"id": 1, "text": "z w", "leaked": False}
         assert len(load_jsonl(path)) == 2
+
+
+def _one_value(line):
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        return False
+    return True
+
+
+class TestDerivedSets:
+    """The derived sets skip the constructor's check; each equals what it would build."""
+
+    @pytest.fixture
+    def docs(self, make_docs):
+        return make_docs(["a b", "c", "d e f", "g", "h i"], [0, None, 2, 1, None])
+
+    def test_subset(self, docs):
+        positions = np.array([4, 0, 2])
+        got = docs.subset(positions)
+        assert list(got) == list(DocumentSet(docs[int(p)] for p in positions))
+        assert list(docs.subset([])) == []
+
+    @pytest.mark.parametrize("positions", [[1, 3, 1], [0, -5]])
+    def test_subset_with_a_repeated_document_raises(self, docs, positions):
+        with pytest.raises(ValueError, match="duplicate document id"):
+            docs.subset(positions)
+
+    def test_with_labels(self, docs):
+        labels = np.array([3, 1, 0, 2, 1])
+        got = docs.with_labels(labels)
+        want = DocumentSet(Document(d.id, d.text, int(y)) for d, y in zip(docs, labels))
+        assert list(got) == list(want)
+        assert all(type(d.label) is int for d in got)
+        with pytest.raises(ValueError, match="label count"):
+            docs.with_labels([1])
+
+    @pytest.mark.parametrize("positions", [None, [4, 1, 3], []])
+    def test_unlabeled(self, docs, positions):
+        picked = range(len(docs)) if positions is None else positions
+        want = DocumentSet(Document(i, docs[p].text, None) for i, p in enumerate(picked))
+        assert list(docs.unlabeled(positions)) == list(want)
+
+    def test_unlabeled_keeps_a_set_that_already_is(self, make_docs):
+        pool = make_docs(["a", "b"])
+        assert pool.unlabeled() is pool
+        assert list(pool.subset([1]).unlabeled()) == [Document(0, "b", None)]
 
 
 class TestBuildVocab:

@@ -134,6 +134,55 @@ def test_matches_golden(tmp_path, name):
     _assert_matches(got["selections"], want["selections"], step_rtol, f"{name}.selections")
 
 
+# The store, selection and retrained-model cache files of the cls and lm
+# configs. Their names are the cache keys: a change to a key, or to
+# ``harness._docs_digest`` inside it, would leave every existing cache unread.
+CACHE_NAMES = {
+    "cls": [
+        "retrain-154a302822dc3557.ckpt",
+        "retrain-58ee9204e4355da3.ckpt",
+        "retrain-5f34e39574f5af41.ckpt",
+        "retrain-63d89dbf4b2ad26a.ckpt",
+        "retrain-6fee5f4ed34d7247.ckpt",
+        "retrain-9994e964f8c7729e.ckpt",
+        "retrain-ee654ae4e1defad6.ckpt",
+        "sel-032a6adfe232e1f7.json",
+        "sel-87424755013d7a6d.json",
+        "sel-8814210dccf74018.json",
+        "sel-a01de60795727414.json",
+        "sel-a80a66b52c5ca8bc.json",
+        "sel-c4d11fe2ad6ec957.json",
+        "sel-d8719449ac53f7d8.json",
+        "store-a3b1c954f207bb8a.selg",
+    ],
+    "lm": [
+        "retrain-07f9e18f900a2c12.ckpt",
+        "retrain-0fe81d9cb9e29d0e.ckpt",
+        "retrain-5f843aeb744ededd.ckpt",
+        "retrain-7df7ddcdee7e3744.ckpt",
+        "retrain-9d2e420ca342bc13.ckpt",
+        "sel-15db80ab7a4c8400.json",
+        "sel-21bdb71c8d8ae0fd.json",
+        "sel-34d557a0f9d2eb1d.json",
+        "sel-5abf7ae68d25832d.json",
+        "sel-7bdf9e98f3a87afb.json",
+        "sel-b2800a90ce6f97d3.json",
+        "store-668da3c693df5e1c.selg",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_NAMES))
+def test_cache_file_names_are_pinned(tmp_path, name):
+    config = _config(name, tmp_path)
+    assert not run_pipeline(config).provenance["errors"]
+    cache = Workspace(config.out_dir).cache_dir
+    got = sorted(
+        p.name for pattern in ("retrain-*.ckpt", "sel-*.json", "store-*.selg") for p in cache.glob(pattern)
+    )
+    assert got == CACHE_NAMES[name]
+
+
 if __name__ == "__main__":
     import tempfile
 

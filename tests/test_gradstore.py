@@ -152,7 +152,46 @@ class TestPaddingInvariance:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def philox_sign_bits(dim, k, seed):
+    """The definition of the packed sign bits: one np.random.Philox stream per row."""
+    n_bytes = (k + 7) // 8
+    packed = np.empty((dim, n_bytes), dtype=np.uint8)
+    for r in range(dim):
+        raw = np.random.Philox(key=((seed % (1 << 64)) << 64) | r).random_raw((n_bytes + 7) // 8)
+        packed[r] = np.frombuffer(raw.tobytes(), dtype=np.uint8)[:n_bytes]
+    return packed
+
+
+SIGN_SEEDS = [0, 33, 2**63 + 5, 2**64 - 1]
+
+
 class TestProjection:
+    @pytest.mark.parametrize("seed", SIGN_SEEDS)
+    @pytest.mark.parametrize("k", [1, 7, 64, 65, 512, 4096])
+    @pytest.mark.parametrize("block_counters", [5, gradstore._SIGN_BLOCK_COUNTERS])
+    def test_packed_bits_match_per_row_philox(self, monkeypatch, seed, k, block_counters):
+        # 5 counters a block: blocks of 5, 2 and 1 rows for k <= 256, 512 and 4096.
+        monkeypatch.setattr(gradstore, "_SIGN_BLOCK_COUNTERS", block_counters)
+        got = Projection(13, k, seed=seed)._packed_bits()
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert got.tobytes() == philox_sign_bits(13, k, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", SIGN_SEEDS)
+    def test_packed_bits_across_the_row_block_boundary(self, seed):
+        k = 4096
+        rows_per_block = gradstore._SIGN_BLOCK_COUNTERS // (k // 256)
+        dim = rows_per_block + 3
+        got = Projection(dim, k, seed=seed)._packed_bits()
+        assert got.tobytes() == philox_sign_bits(dim, k, seed).tobytes()
+
+    def test_sign_block_unpacks_the_bits(self):
+        proj = Projection(9, 21, seed=4)
+        bits = np.unpackbits(proj._packed_bits(), axis=1, bitorder="little")[:, :21]
+        for dtype in (np.float32, np.float64):
+            signs = proj.sign_block(2, 7, dtype)
+            assert signs.dtype == dtype and signs.flags.c_contiguous
+            assert np.array_equal(signs, 1.0 - 2.0 * bits[2:7])
+
     def test_zero_vector(self):
         proj = Projection(64, 16, seed=0)
         assert np.abs(project(np.zeros(64), proj)).max() == 0.0

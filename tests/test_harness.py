@@ -3,6 +3,7 @@ import math
 import os
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from gradselect import gradstore, harness, metrics, model
 from gradselect.cli import main as cli_main
-from gradselect.corpus import save_jsonl
+from gradselect.corpus import Document, DocumentSet, save_jsonl
 from gradselect.gradstore import GradientStore
 from gradselect.model import OptimizerConfig
 from gradselect.harness import (
@@ -934,12 +935,55 @@ class TestAggregateRows:
         assert aggs[0]["num_seeds"] == 2
 
 
+def test_docs_digest_is_pinned():
+    # Every cache key holds this digest; a change would leave existing caches unread.
+    docs = DocumentSet(
+        [
+            Document(0, "h\u00e9llo w\u00f6rld \u2014 \u00fcn\u00efcode \u2713", None),
+            Document(3, "plain text", 2),
+            Document(7, "\u65e5\u672c\u8a9e \u30c6\u30ad\u30b9\u30c8", 0),
+            Document(9, "x", None),
+        ]
+    )
+    assert harness._docs_digest(docs) == "115eefd1a5b81085"
+    assert harness._docs_digest(DocumentSet([])) == "e3b0c44298fc1c14"
+
+
+def test_reference_side_scored_once_per_cell(tmp_path, monkeypatch):
+    config = base_config(tmp_path, seeds=[0], methods=["select", "random", "topk"])
+    embedded, tokenized = [], []
+    real_embed, real_tokens = harness.embed, harness.token_set
+    monkeypatch.setattr(harness, "embed", lambda docs, *a: embedded.append(docs) or real_embed(docs, *a))
+    monkeypatch.setattr(harness, "token_set", lambda docs: tokenized.append(docs) or real_tokens(docs))
+    bundle = run_pipeline(config)
+    assert not bundle.provenance["errors"] and len(bundle.rows) == 3
+    # One subsample per method, one reference subsample (equal sizes draw it alike).
+    assert len(embedded) == 4
+    assert len(tokenized) == 1
+
+
 class TestCLI:
     def _config_file(self, tmp_path, **overrides):
-        config = base_config(tmp_path, seeds=[0], methods=["select", "random"], **overrides)
+        overrides.setdefault("methods", ["select", "random"])
+        config = base_config(tmp_path, seeds=[0], **overrides)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
         return path, config
+
+    def test_expert_in_every_selection_stage(self, tmp_path, capsys):
+        path, config = self._config_file(tmp_path, methods=["select", "expert"])
+        for stage in ("select", "retrain", "metrics"):
+            assert cli_main([stage, "--config", str(path), "--method", "all"]) == 0
+        assert "expert: no selection" in capsys.readouterr().out
+        out = tmp_path / "run"
+        assert not (out / "selections" / "expert.json").exists()
+        assert (out / "retrained" / "expert.ckpt").exists()
+        report = json.loads((out / "reports" / "expert.json").read_text())
+        fresh = replace(config, out_dir=str(tmp_path / "experiment"))
+        (row,) = [r for r in run_experiment(fresh).rows if r["method"] == "expert"]
+        for key in ("accuracy", "mean_loss", "perplexity", "vocab_containment"):
+            assert report[key] == row[key], key
+        assert report["ot"]["distance"] == row["ot_distance"]
 
     def test_gen_corpus(self, tmp_path):
         out = tmp_path / "g.jsonl"
