@@ -14,7 +14,6 @@ from .corpus import (  # noqa: F401
     DocumentSet,
     SeedPool,
     TokenBatch,
-    TokenSeq,
     Vocab,
     build_vocab,
     encode_documents,
@@ -22,7 +21,6 @@ from .corpus import (  # noqa: F401
     mix_leakage,
     save_jsonl,
     split,
-    tokenize,
 )
 from .gradstore import (  # noqa: F401
     GradientStore,

@@ -3,18 +3,21 @@
 The stage commands (train-victim, autolabel, build-store, select, retrain,
 metrics) are the steps of one chain on the config's first seed: prepare_run
 (split, vocabulary, victim), build_candidate_pool, autolabel, gradient_stage
-(store), run_selection, then retraining or scoring the selection. The chain
+(store), select_methods, then retraining or scoring the selections. The chain
 autolabels the pool only to build the store; later commands read the
 pseudolabels from its aux block. One function, ``cmd_stage``, runs the chain
 up to the named stage and writes that stage's artifacts under the config's
 out_dir. Run in sequence, each command re-runs the prefix before it, which the
 content-addressed cache turns into reads of the victim, store, selections and
 retrained models that earlier commands wrote: ``retrain`` copies the cached
-model out, and ``metrics`` reads its metrics instead of training again. The
-``expert`` method selects nothing: ``select`` skips it, and ``retrain`` and
-``metrics`` train and score it on the training set, as the experiment runner
-does. The experiment command runs a whole grid and emits report.json /
-report.csv / figures.
+model out, and ``metrics`` reads its metrics instead of training again.
+
+The selection stages share ``harness.select_methods`` with the experiment
+runner, so a method is selected, retrained and scored as a runner cell does
+it: ``expert`` selects nothing (``select`` writes no file for it), and
+``retrain`` and ``metrics`` train and score it on the training set. The
+experiment command runs a whole grid and emits report.json / report.csv /
+figures.
 """
 
 from __future__ import annotations
@@ -129,30 +132,24 @@ def cmd_stage(args) -> int:
     subdirs = {"select": ["selections"], "retrain": ["retrained", "reports"], "metrics": ["reports"]}
     for sub in subdirs[stage]:
         (out / sub).mkdir(exist_ok=True)
-    chosen = {}
-    for method in _methods_arg(config, args.method):
-        if method == "expert":
-            # The expert selects nothing; it is retrained and scored on the training set.
-            if stage == "select":
-                print("expert: no selection (retrain and metrics use the training set)")
-            else:
-                chosen[method] = ctx.train_docs
-            continue
-        result = harness.run_selection(config, ctx, artifacts, method, workspace)
-        chosen[method] = harness.selected_documents(pool, result, store)
-        if stage == "select":
+    methods = _methods_arg(config, args.method)
+    chosen = harness.select_methods(config, ctx, pool, artifacts, methods, workspace)
+    if stage == "select":
+        for method, docs, result in chosen:
+            if result is None:
+                print(f"{method}: no selection (retrain and metrics use the training set)")
+                continue
             path = out / "selections" / f"{method}.json"
             write_selection(
                 result, path, config.num_checkpoints, config.projection_dim, [ctx.run_seed]
             )
-            save_jsonl(chosen[method], out / "selections" / f"{method}_docs.jsonl")
+            save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
             print(f"{method}: {len(result.indices)} documents selected")
-    if stage == "select":
         return 0
     # Every method selects first, so the retrains run in lockstep.
-    retrained = harness.retrain_selections(config, ctx, list(chosen.values()), workspace)
+    retrained = harness.retrain_selections(config, ctx, [docs for _, docs, _ in chosen], workspace)
     reference = harness.Reference(ctx.train_docs) if stage == "metrics" else None
-    for (method, docs), (cached, metrics) in zip(chosen.items(), retrained):
+    for (method, docs, _), (cached, metrics) in zip(chosen, retrained):
         if stage == "retrain":
             shutil.copyfile(cached, out / "retrained" / f"{method}.ckpt")
             report = json.dumps(metrics.to_dict(), sort_keys=True)

@@ -2,9 +2,10 @@
 
 Documents come in as JSONL (one ``{"text": ..., "label": ...}`` record per
 line). Everything downstream works on fixed-length token id sequences, so the
-tokenizer here is deliberately simple: lowercase, split on word/punctuation
-boundaries, map through a frequency-ranked vocabulary with reserved padding
-and unknown ids.
+tokenizer is deliberately simple and has one entry point, ``encode_documents``:
+it lowercases, splits on word/punctuation boundaries (``split_tokens``), maps
+each token through a frequency-ranked vocabulary with reserved padding and
+unknown ids, and truncates and right-pads every document to one length.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ class DocumentSet:
         return self._docs[position]
 
     @property
-    def ids(self) -> np.ndarray:
-        return np.array([d.id for d in self._docs], dtype=np.int64)
-
-    @property
     def texts(self) -> list[str]:
         return [d.text for d in self._docs]
 
@@ -100,9 +97,6 @@ class DocumentSet:
                 raise ValueError(f"document {d.id} has no label")
             out[i] = d.label
         return out
-
-    def has_labels(self) -> bool:
-        return all(d.label is not None for d in self._docs)
 
     def subset(self, positions: Sequence[int]) -> "DocumentSet":
         docs = tuple(self._docs[int(p)] for p in positions)
@@ -163,9 +157,6 @@ class Vocab:
     def index(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
@@ -179,14 +170,6 @@ class Vocab:
     def from_json(cls, path: str | Path) -> "Vocab":
         data = json.loads(Path(path).read_text())
         return cls(data["tokens"])
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    """Fixed-length token id sequence, right-padded with PAD_ID."""
-
-    ids: np.ndarray
-    valid_len: int
 
 
 @dataclass(frozen=True)
@@ -283,19 +266,13 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
-def save_jsonl(
-    docs: DocumentSet, path: str | Path, leak_mask: np.ndarray | None = None
-) -> None:
+def save_jsonl(docs: DocumentSet, path: str | Path) -> None:
     """Persist documents as JSONL with an explicit "id" field."""
-    if leak_mask is not None and len(leak_mask) != len(docs):
-        raise ValueError("leak_mask length must equal document count")
     with open(path, "w", encoding="utf-8") as fh:
-        for i, d in enumerate(docs):
+        for d in docs:
             record: dict = {"id": d.id, "text": d.text}
             if d.label is not None:
                 record["label"] = d.label
-            if leak_mask is not None:
-                record["leaked"] = bool(leak_mask[i])
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -314,26 +291,16 @@ def build_vocab(docs: DocumentSet, max_size: int) -> Vocab:
     return Vocab(kept)
 
 
-def tokenize(doc: Document | str, vocab: Vocab, s: int) -> TokenSeq:
-    """Map a document to exactly s token ids (truncate, right-pad)."""
+def encode_documents(docs: DocumentSet, vocab: Vocab, s: int) -> TokenBatch:
+    """Map every document to exactly s token ids (truncate, right-pad with PAD_ID)."""
     if s < 1:
         raise ValueError("sequence length must be at least 1")
-    text = doc.text if isinstance(doc, Document) else doc
-    pieces = split_tokens(text)[:s]
-    ids = np.full(s, PAD_ID, dtype=np.int32)
-    for i, tok in enumerate(pieces):
-        ids[i] = vocab.index(tok)
-    return TokenSeq(ids, len(pieces))
-
-
-def encode_documents(docs: DocumentSet, vocab: Vocab, s: int) -> TokenBatch:
-    """Tokenize a whole document set into one (n, s) id matrix."""
     ids = np.full((len(docs), s), PAD_ID, dtype=np.int32)
     lens = np.zeros(len(docs), dtype=np.int32)
     for i, d in enumerate(docs):
-        seq = tokenize(d, vocab, s)
-        ids[i] = seq.ids
-        lens[i] = seq.valid_len
+        row = [vocab.index(t) for t in split_tokens(d.text)[:s]]
+        ids[i, : len(row)] = row
+        lens[i] = len(row)
     return TokenBatch(ids, lens)
 
 

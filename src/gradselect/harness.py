@@ -7,10 +7,16 @@ corpora, victim and retrain optimizers). Every cell runs one chain: split the
 task corpus and train (or reuse) the victim, build the candidate pool,
 autolabel it with the final model and build the projected gradient store
 (on a store cache hit neither runs: the labels are read from the store),
-select with each of the cell's methods, retrain each selection from the base
-checkpoint, and score recovery. A cell selects with every method before it
-retrains: ``retrain_selections`` then trains the models the cache misses in
-lockstep, the classification ones of one selection size as one stacked model.
+select with each of the cell's methods (``select_methods``), retrain each
+selection from the base checkpoint, and score recovery. A cell selects with
+every method before it retrains: ``retrain_selections`` then trains the
+models the cache misses in lockstep, the classification ones of one
+selection size as one stacked model.
+
+The candidate pool comes from one place, ``build_candidate_pool``: the seed
+corpus file if the config names one, else the task corpus's seed split,
+unlabeled and numbered 0..n-1. A leakage cell draws its distractors from that
+pool and mixes training documents in (``corpus.mix_leakage``).
 
 One job per seed runs every cell of that seed; a failing cell lands in
 ``provenance.errors`` and the other cells still run. ``run_experiment`` runs
@@ -175,7 +181,6 @@ class ExperimentConfig:
     vocab_max_size: int = 8192
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     validation_fraction: float = 0.1
-    pool_size: int | None = None
     methods: tuple[str, ...] | None = None
     ot_max_points: int = 512
     params: dict = field(default_factory=dict)
@@ -455,21 +460,11 @@ def prepare_run(
     )
 
 
-def _pool_source(config: ExperimentConfig, ctx: RunContext) -> DocumentSet:
-    """The documents a pool is drawn from: the seed corpus file, else the seed split."""
-    if config.seed_corpus:
-        return _stage("load-pool", load_jsonl, config.seed_corpus)
-    return ctx.seed_split
-
-
 def build_candidate_pool(config: ExperimentConfig, ctx: RunContext) -> DocumentSet:
-    """Candidate documents, unlabeled, ids reassigned to pool positions."""
-    docs = _pool_source(config, ctx)
-    if config.pool_size is not None and config.pool_size < len(docs):
-        rng = np.random.default_rng(ctx.run_seed + 10_000)
-        keep = rng.choice(len(docs), size=config.pool_size, replace=False)
-        return docs.unlabeled(np.sort(keep))
-    return docs.unlabeled()
+    """The seed corpus file, else the seed split, unlabeled, ids reassigned to pool positions."""
+    if config.seed_corpus:
+        return _stage("load-pool", load_jsonl, config.seed_corpus).unlabeled()
+    return ctx.seed_split.unlabeled()
 
 
 def autolabel_pool(
@@ -613,14 +608,31 @@ def run_selection(
     return result
 
 
-def selected_documents(
-    pool: DocumentSet, result: SelectionResult, store: GradientStore
-) -> DocumentSet:
-    """The selected pool documents, with their pseudolabels from the store if it has them."""
-    docs = pool.subset(result.indices)
-    if store.has_labels:
-        docs = docs.with_labels(store.pseudolabels[list(result.indices)])
-    return docs
+def select_methods(
+    config: ExperimentConfig,
+    ctx: RunContext,
+    pool: DocumentSet,
+    artifacts: GradientArtifacts,
+    methods: Sequence[str],
+    workspace: Workspace,
+) -> list[tuple[str, DocumentSet, SelectionResult | None]]:
+    """(method, selected documents, selection) for each method, in order.
+
+    The selected pool documents carry their pseudolabels from the store when
+    it has them. ``expert`` selects nothing: it gets the training set and no
+    selection, so it is retrained and scored on the hidden set itself.
+    """
+    chosen = []
+    for method in methods:
+        if method == "expert":
+            chosen.append((method, ctx.train_docs, None))
+            continue
+        result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
+        docs = pool.subset(result.indices)
+        if artifacts.store.has_labels:
+            docs = docs.with_labels(artifacts.store.pseudolabels[list(result.indices)])
+        chosen.append((method, docs, result))
+    return chosen
 
 
 def retrain_selections(
@@ -816,36 +828,26 @@ def _optimizer_fields(role: str, opt: OptimizerConfig, override: dict) -> dict:
 
 
 def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
-    """pool -> size check -> gradient_stage -> run_selection for every method ->
+    """pool -> size check -> gradient_stage -> select_methods ->
     retrain_selections -> score_selection for every method -> rows.
 
-    ``expert`` skips selection and scores the hidden training set itself.
-    Every method selects before any model trains, so the cell's retrains run
-    in lockstep.
+    A leakage cell mixes ``leak_pool_size`` documents from the training set
+    and the candidate pool. Every method selects before any model trains, so
+    the cell's retrains run in lockstep.
     """
     config = cell.config
+    pool = build_candidate_pool(config, ctx)
     leak_fraction = cell.fields.get("leak_fraction")
-    if leak_fraction is None:
-        pool = build_candidate_pool(config, ctx)
-    else:
-        size = int(config.params.get("leak_pool_size") or config.pool_size or 1000)
+    if leak_fraction is not None:
+        size = int(config.params.get("leak_pool_size") or 1000)
         mix_seed = ctx.run_seed + int(leak_fraction * 1000)
-        distractors = _pool_source(config, ctx)
-        seed_pool = _stage(
-            "pool", mix_leakage, ctx.train_docs, distractors, leak_fraction, size, mix_seed
-        )
+        seed_pool = _stage("pool", mix_leakage, ctx.train_docs, pool, leak_fraction, size, mix_seed)
         pool = seed_pool.documents
     if config.selection_size > len(pool):
         error = f"selection_size {config.selection_size} exceeds pool size {len(pool)}"
         raise StageError("pool", ValueError(error))
     artifacts = gradient_stage(config, ctx, pool, workspace)
-    chosen = []
-    for method in cell.methods:
-        if method == "expert":
-            chosen.append((method, ctx.train_docs, None))
-            continue
-        result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
-        chosen.append((method, selected_documents(pool, result, artifacts.store), result))
+    chosen = select_methods(config, ctx, pool, artifacts, cell.methods, workspace)
     reference = Reference(ctx.train_docs)
     if config.experiment == "metric_ablation":
         return [

@@ -1,11 +1,13 @@
 """Synthetic desk-scale corpora for demos and end-to-end checks.
 
 Documents are bags of filler words salted with topic keywords. Classification
-tasks assign one topic per class; next-token tasks draw from a bank of fixed
-phrases so a model can actually learn continuations. Pool generators mix
-"useful" on-topic documents with filler-only junk, plus a redundant
-near-duplicate cluster that rewards selection rules which penalize
-redundancy.
+tasks assign one topic per class; next-token tasks draw from a fixed bank of
+32 phrases (``phrase_bank`` seeded with 1234) so a model can actually learn
+continuations. Pool generators mix "useful" on-topic documents with
+filler-only junk, plus a fixed redundancy cluster that rewards selection rules
+which penalize redundancy: in the classification pool, a quarter of the useful
+documents are keyword-dense near-duplicates on the first three words of class
+0's topic; in the next-token pool, 30% of the useful documents repeat phrase 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ TOPIC_WORDS = (
 )
 
 NUM_TOPICS = len(TOPIC_WORDS)
+# The phrase bank of the next-token corpora.
+_NUM_PHRASES = 32
+_PHRASE_SEED = 1234
 
 
 def _topic(index: int, offset: int) -> list[str]:
@@ -91,25 +96,23 @@ def make_pool_corpus(
     num_classes: int,
     seed: int,
     useful_fraction: float = 0.3,
-    heavy_fraction: float = 0.25,
-    heavy_class: int = 0,
     topic_offset: int = 0,
 ) -> DocumentSet:
     """Unlabeled candidate pool: on-topic documents diluted with junk.
 
-    A heavy_fraction slice of the useful documents are keyword-dense
-    near-duplicates of one class, producing the redundant high-alignment
-    cluster that trips plain top-k selection.
+    A quarter of the useful documents are keyword-dense near-duplicates of
+    class 0, producing the redundant high-alignment cluster that trips plain
+    top-k selection.
     """
     rng = np.random.default_rng(seed)
     n_useful = int(round(useful_fraction * n))
-    n_heavy = int(round(heavy_fraction * n_useful))
+    n_heavy = int(round(0.25 * n_useful))
     docs = []
     for i in range(n):
         if i < n_heavy:
             text = _topical_text(
                 rng,
-                _topic(heavy_class, topic_offset)[:3],
+                _topic(0, topic_offset)[:3],
                 int(rng.integers(6, 10)),
                 int(rng.integers(8, 12)),
             )
@@ -145,17 +148,11 @@ def phrase_bank(num_phrases: int, seed: int, topic_offset: int = 0) -> list[str]
     return phrases
 
 
-def make_lm_corpus(
-    n: int,
-    seed: int,
-    num_phrases: int = 32,
-    phrase_seed: int = 1234,
-    topic_offset: int = 0,
-) -> DocumentSet:
+def make_lm_corpus(n: int, seed: int, topic_offset: int = 0) -> DocumentSet:
     """Next-token corpus: each document is one phrase from the bank."""
-    bank = phrase_bank(num_phrases, phrase_seed, topic_offset)
+    bank = phrase_bank(_NUM_PHRASES, _PHRASE_SEED, topic_offset)
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, num_phrases, size=n)
+    picks = rng.integers(0, _NUM_PHRASES, size=n)
     return DocumentSet(Document(i, bank[int(p)], None) for i, p in enumerate(picks))
 
 
@@ -163,26 +160,23 @@ def make_lm_pool(
     n: int,
     seed: int,
     useful_fraction: float = 0.25,
-    heavy_fraction: float = 0.3,
-    num_phrases: int = 32,
-    phrase_seed: int = 1234,
     topic_offset: int = 0,
 ) -> DocumentSet:
     """Unlabeled next-token pool: phrases plus shuffled-filler junk.
 
-    heavy_fraction of the useful slice repeats phrase 0, mirroring the
-    redundancy trap of the classification pool.
+    30% of the useful slice repeats phrase 0, mirroring the redundancy trap
+    of the classification pool.
     """
-    bank = phrase_bank(num_phrases, phrase_seed, topic_offset)
+    bank = phrase_bank(_NUM_PHRASES, _PHRASE_SEED, topic_offset)
     rng = np.random.default_rng(seed)
     n_useful = int(round(useful_fraction * n))
-    n_heavy = int(round(heavy_fraction * n_useful))
+    n_heavy = int(round(0.3 * n_useful))
     texts = []
     for i in range(n):
         if i < n_heavy:
             texts.append(bank[0])
         elif i < n_useful:
-            texts.append(bank[int(rng.integers(0, num_phrases))])
+            texts.append(bank[int(rng.integers(0, _NUM_PHRASES))])
         else:
             texts.append(_filler_text(rng, int(rng.integers(8, 12))))
     order = rng.permutation(n)

@@ -5,6 +5,7 @@ import pytest
 
 from gradselect import corpus
 from gradselect.corpus import (
+    PAD_ID,
     Document,
     DocumentSet,
     atomic_write,
@@ -15,7 +16,12 @@ from gradselect.corpus import (
     save_jsonl,
     split,
     split_tokens,
-    tokenize,
+)
+from gradselect.toycorpus import (
+    make_classification_corpus,
+    make_lm_corpus,
+    make_lm_pool,
+    make_pool_corpus,
 )
 
 
@@ -118,10 +124,10 @@ class TestLoadJsonl:
     def test_round_trip_with_leak_mask(self, tmp_path, make_docs):
         docs = make_docs(["x y", "z w"], [0, None])
         path = tmp_path / "out.jsonl"
-        save_jsonl(docs, path, leak_mask=np.array([True, False]))
+        save_jsonl(docs, path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0] == {"id": 0, "text": "x y", "label": 0, "leaked": True}
-        assert lines[1] == {"id": 1, "text": "z w", "leaked": False}
+        assert lines[0] == {"id": 0, "text": "x y", "label": 0}
+        assert lines[1] == {"id": 1, "text": "z w"}
         assert len(load_jsonl(path)) == 2
 
 
@@ -202,36 +208,102 @@ class TestBuildVocab:
 
 
 class TestTokenize:
+    """One-document ``encode_documents`` calls."""
+
     def test_direct_mapping(self, make_docs):
         vocab = build_vocab(make_docs(["a a b"]), 10)
-        seq = tokenize("A b", vocab, 4)
-        assert seq.ids.tolist() == [2, 3, 0, 0]
-        assert seq.valid_len == 2
+        batch = encode_documents(make_docs(["A b"]), vocab, 4)
+        assert batch.ids[0].tolist() == [2, 3, 0, 0]
+        assert batch.valid_len[0] == 2
 
     def test_truncation(self, make_docs):
         vocab = build_vocab(make_docs(["w"]), 10)
-        seq = tokenize(" ".join(["w"] * 100), vocab, 64)
-        assert seq.valid_len == 64
-        assert (seq.ids == 2).all()
+        batch = encode_documents(make_docs([" ".join(["w"] * 100)]), vocab, 64)
+        assert batch.valid_len[0] == 64
+        assert (batch.ids[0] == 2).all()
 
     def test_unknown_token(self, make_docs):
         vocab = build_vocab(make_docs(["a"]), 10)
-        seq = tokenize("a mystery", vocab, 4)
-        assert seq.ids.tolist() == [2, 1, 0, 0]
-
-    def test_accepts_document(self, make_docs):
-        vocab = build_vocab(make_docs(["a"]), 10)
-        seq = tokenize(Document(0, "a a"), vocab, 3)
-        assert seq.ids.tolist() == [2, 2, 0]
+        batch = encode_documents(make_docs(["a mystery"]), vocab, 4)
+        assert batch.ids[0].tolist() == [2, 1, 0, 0]
 
     def test_deterministic(self, make_docs):
         vocab = build_vocab(make_docs(["a b c d"]), 10)
-        s1 = tokenize("a c d", vocab, 5)
-        s2 = tokenize("a c d", vocab, 5)
-        assert np.array_equal(s1.ids, s2.ids) and s1.valid_len == s2.valid_len
+        b1 = encode_documents(make_docs(["a c d"]), vocab, 5)
+        b2 = encode_documents(make_docs(["a c d"]), vocab, 5)
+        assert np.array_equal(b1.ids, b2.ids) and np.array_equal(b1.valid_len, b2.valid_len)
 
     def test_punctuation_split(self):
         assert split_tokens("Hello, world!") == ["hello", ",", "world", "!"]
+
+
+def tokenize_oracle(text, vocab, s):
+    """One document's s token ids and valid length, one token at a time."""
+    pieces = split_tokens(text)[:s]
+    ids = np.full(s, PAD_ID, dtype=np.int32)
+    for i, tok in enumerate(pieces):
+        ids[i] = vocab.index(tok)
+    return ids, len(pieces)
+
+
+def assert_matches_oracle(docs, vocab, s):
+    batch = encode_documents(docs, vocab, s)
+    assert batch.ids.dtype == np.int32 and batch.valid_len.dtype == np.int32
+    assert batch.ids.shape == (len(docs), s) and batch.valid_len.shape == (len(docs),)
+    for i, d in enumerate(docs):
+        ids, valid_len = tokenize_oracle(d.text, vocab, s)
+        assert np.array_equal(batch.ids[i], ids), (i, d.text)
+        assert batch.valid_len[i] == valid_len, (i, d.text)
+
+
+class TestEncodeDocumentsOracle:
+    """``encode_documents`` against a per-document loop over ``split_tokens``."""
+
+    TEXTS = [
+        "Caf\u00e9 na\u00efve \u65e5\u672c\u8a9e \u00c9COLE stra\u00dfe",
+        "Hello, world! (a-b) [c]... \"quoted\" don't",
+        "known words and never-seen-before zyzzyva tokens",
+        "one",
+        " ".join(f"w{i}" for i in range(40)),
+        "?!",
+    ]
+
+    @pytest.mark.parametrize("s", [1, 2, 5, 64])
+    def test_edge_texts(self, make_docs, s):
+        known = "known words and one w3 w7 hello , ! caf\u00e9 \u65e5\u672c\u8a9e"
+        vocab = build_vocab(make_docs([known]), 64)
+        assert_matches_oracle(make_docs(self.TEXTS), vocab, s)
+
+    def test_empty_set(self, make_docs):
+        batch = encode_documents(DocumentSet([]), build_vocab(make_docs(["a"]), 4), 3)
+        assert batch.ids.shape == (0, 3) and batch.ids.dtype == np.int32
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_sequence_length_below_one_raises(self, make_docs, s):
+        docs = make_docs(["a b"])
+        with pytest.raises(ValueError, match="at least 1"):
+            encode_documents(docs, build_vocab(docs, 4), s)
+
+    @pytest.mark.parametrize("family", ["cls", "lm"])
+    def test_full_seed_0_corpora(self, family):
+        # The task and pool corpora of the cls_pipeline and lm_pipeline
+        # benchmark workloads at seed 0, at their sequence lengths and at 8,
+        # where most rows are truncated.
+        if family == "cls":
+            task = make_classification_corpus(
+                3400, 4, seed=42, key_lo=3, key_hi=6, len_lo=8, len_hi=12
+            )
+            pool = make_pool_corpus(10_000, 4, seed=43, useful_fraction=0.06)
+            s = 64
+        else:
+            task = make_lm_corpus(3400, seed=50)
+            pool = make_lm_pool(10_000, seed=51, useful_fraction=0.25)
+            s = 32
+        train, _, _ = split(task, (0.65, 0.05, 0.30), 0)
+        vocab = build_vocab(train, 2048)
+        for docs in (task, pool):
+            for width in (s, 8):
+                assert_matches_oracle(docs, vocab, width)
 
 
 class TestSplit:
@@ -307,6 +379,17 @@ class TestMixLeakage:
         pool = mix_leakage(true, dist, 0.5, 40, 4)
         assert [d.id for d in pool.documents] == list(range(40))
         assert all(d.label is None for d in pool.documents)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 0.9])
+    def test_distractors_read_only_as_texts(self, fraction):
+        # A labeled seed split and its unlabeled, renumbered candidate pool
+        # give the same mixed pool.
+        docs = make_classification_corpus(400, 4, seed=8)
+        train, seed_split, _ = split(docs, (0.5, 0.3, 0.2), 3)
+        labeled = mix_leakage(train, seed_split, fraction, 100, 11)
+        unlabeled = mix_leakage(train, seed_split.unlabeled(), fraction, 100, 11)
+        assert list(labeled.documents) == list(unlabeled.documents)
+        assert np.array_equal(labeled.leak_mask, unlabeled.leak_mask)
 
 
 class TestDocumentSet:

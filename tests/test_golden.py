@@ -4,10 +4,15 @@ Each config is the ``cls`` or ``lm`` benchmark pipeline shape at the smoke-test
 sizes (300 task documents, a 600-document pool, M=40, k=64), run for seed 0
 with every default method of its task. ``cls_hidden`` and ``lm_hidden`` are
 the same configs with the tanh hidden layer on. ``cls_wide`` is ``cls`` at
-k=512, wider than its D=132 head gradient. The gate compares, against
+k=512, wider than its D=132 head gradient. ``cls_leak`` runs ``cls`` as a
+``leakage`` experiment: two cells, at leak fractions 0.1 and 0.5, each
+selecting from a 100-document pool that mixes training documents into the
+seed corpus; its rows carry ``leaked_selected``. A selection is keyed by its
+method, followed by its cell's grid fields when the cell has any
+(``select/leak_fraction=0.1``). The gate compares, against
 ``tests/golden/<name>.json``:
 
-- the selected indices of every method: exact;
+- the selected indices of every selection: exact;
 - the step scores of every method and every row metric: exact for the ``cls``
   configs, within ``LM_RTOL`` relative for the ``lm`` ones (next-token training
   sums float32 terms whose order a kernel change may move; 7e-8 has been seen);
@@ -33,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+from gradselect import harness
 from gradselect.corpus import save_jsonl
 from gradselect.harness import ExperimentConfig, Workspace, run_pipeline
 from gradselect.toycorpus import (
@@ -45,7 +51,7 @@ from gradselect.toycorpus import (
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 LM_RTOL = 1e-6
 WIDE_STEP_RTOL = 1e-6
-NAMES = ("cls", "lm", "cls_hidden", "lm_hidden", "cls_wide")
+NAMES = ("cls", "lm", "cls_hidden", "lm_hidden", "cls_wide", "cls_leak")
 
 
 def _config(name: str, dest: Path) -> ExperimentConfig:
@@ -67,6 +73,9 @@ def _config(name: str, dest: Path) -> ExperimentConfig:
         model["hidden_layer"] = True
     if name.endswith("_wide"):
         extra["projection_dim"] = 512
+    if name.endswith("_leak"):
+        extra["experiment"] = "leakage"
+        extra["params"] = {"leak_fractions": [0.1, 0.5], "leak_pool_size": 100}
     save_jsonl(task, dest / "task.jsonl")
     save_jsonl(pool, dest / "pool.jsonl")
     return ExperimentConfig.from_dict(
@@ -91,17 +100,33 @@ def _config(name: str, dest: Path) -> ExperimentConfig:
 
 
 def run_golden(name: str, dest: Path) -> dict:
-    """Rows and per-method selections of one pinned pipeline, as plain JSON data."""
+    """Rows and selections of one pinned pipeline, as plain JSON data.
+
+    Each selection ``harness.run_selection`` returns is recorded under its
+    method and the grid fields of the cell ``harness._cell_rows`` is running.
+    """
     config = _config(name, dest)
-    bundle = run_pipeline(config)
-    assert not bundle.provenance["errors"], bundle.provenance["errors"]
+    cell_rows, run_selection = harness._cell_rows, harness.run_selection
+    cell_fields: dict = {}
     selections = {}
-    for path in Workspace(config.out_dir).cache_dir.glob("sel-*.json"):
-        data = json.loads(path.read_text())
-        selections[data["method"]] = {
-            "indices": data["indices"],
-            "step_scores": data["step_scores"],
-        }
+
+    def recording_cell_rows(cell, *args):
+        cell_fields.clear()
+        cell_fields.update(cell.fields)
+        return cell_rows(cell, *args)
+
+    def recording_run_selection(*args):
+        result = run_selection(*args)
+        key = "/".join([result.method, *(f"{k}={v}" for k, v in cell_fields.items())])
+        selections[key] = {"indices": result.indices, "step_scores": result.step_scores}
+        return result
+
+    harness._cell_rows, harness.run_selection = recording_cell_rows, recording_run_selection
+    try:
+        bundle = run_pipeline(config)
+    finally:
+        harness._cell_rows, harness.run_selection = cell_rows, run_selection
+    assert not bundle.provenance["errors"], bundle.provenance["errors"]
     return {"rows": bundle.rows, "selections": dict(sorted(selections.items()))}
 
 

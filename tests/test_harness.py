@@ -985,6 +985,28 @@ class TestCLI:
             assert report[key] == row[key], key
         assert report["ot"]["distance"] == row["ot_distance"]
 
+    def test_stages_match_the_runner(self, tmp_path):
+        methods = ["select", "random", "expert"]
+        path, config = self._config_file(tmp_path, methods=methods)
+        for stage in ("select", "metrics"):
+            assert cli_main([stage, "--config", str(path), "--method", "all"]) == 0
+        fresh = replace(config, out_dir=str(tmp_path / "experiment"))
+        rows = {r["method"]: r for r in run_experiment(fresh).rows}
+        out = tmp_path / "run"
+        for method in methods:
+            report = json.loads((out / "reports" / f"{method}.json").read_text())
+            for key in ("accuracy", "mean_loss", "perplexity", "vocab_containment"):
+                assert report[key] == rows[method][key], (method, key)
+            assert report["ot"]["distance"] == rows[method]["ot_distance"], method
+        cached = {}
+        for file in Workspace(fresh.out_dir).cache_dir.glob("sel-*.json"):
+            data = json.loads(file.read_text())
+            cached[data["method"]] = data["indices"]
+        assert sorted(cached) == ["random", "select"]
+        for method, indices in cached.items():
+            written = json.loads((out / "selections" / f"{method}.json").read_text())
+            assert written["indices"] == indices, method
+
     def test_gen_corpus(self, tmp_path):
         out = tmp_path / "g.jsonl"
         rc = cli_main(["gen-corpus", "--kind", "classification", "--out", str(out), "--n", "50"])
