@@ -112,17 +112,14 @@ class DocumentSet:
             tuple(Document(d.id, d.text, int(y)) for d, y in zip(self._docs, labels))
         )
 
-    def unlabeled(self, positions: Sequence[int] | None = None) -> "DocumentSet":
-        """The documents at ``positions`` (all by default), unlabeled, ids 0..n-1 in that order.
+    def unlabeled(self) -> "DocumentSet":
+        """The documents unlabeled, ids 0..n-1 in order.
 
         A set that already is so (an unlabeled corpus file) is returned as is.
         """
-        if positions is None:
-            if all(d.label is None and d.id == i for i, d in enumerate(self._docs)):
-                return self
-            positions = range(len(self._docs))
-        docs = (self._docs[int(p)] for p in positions)
-        return DocumentSet._trusted(tuple(Document(i, d.text) for i, d in enumerate(docs)))
+        if all(d.label is None and d.id == i for i, d in enumerate(self._docs)):
+            return self
+        return DocumentSet._trusted(tuple(Document(i, d.text) for i, d in enumerate(self._docs)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ scale. Each gradient g is therefore sketched as A^T g, with A (D x k) =
 S/sqrt(k) a seeded Rademacher projection. Sign entry S[r, c] is bit c of the
 Philox4x64-10 stream keyed by (r, seed), the stream
 ``np.random.Philox(key=(seed << 64) | r)`` draws: a counter-based generator,
-so any row of S can be regenerated exactly and on its own. The signs of all
-D rows are computed at once, in numpy, in blocks of rows (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+so any row of S can be regenerated exactly and on its own (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011). A ``Projection``
+draws its D streams once, on first use, and keeps the packed bits.
 
 Rows have width min(k, D). For k < D a row is the sketch A^T g itself. For
 k >= D a k-wide sketch would only add bytes, so a row is W g instead, with
@@ -74,13 +74,6 @@ _PROJECT_BLOCK_ROWS = 1024
 # this many bytes (D*k*8: 11 MB for D=2771, k=512); larger ones are unpacked
 # on every call.
 _DENSE_SIGNS_MAX_BYTES = 64 << 20
-# Philox4x64-10 multipliers and Weyl key increments (Random123, numpy).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-# Philox counters (4 words each) per block of sign rows; bounds the block's
-# uint64 temporaries to a few MB whatever D is.
-_SIGN_BLOCK_COUNTERS = 1 << 16
 # Row b: the +-1 signs of the bits of byte b, least significant bit first.
 _BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
@@ -97,10 +90,9 @@ class Projection:
 
     Entry (r, c) is the c-th sign bit of the Philox4x64-10 stream keyed by
     (r, seed): bit c % 64 of word c // 64 of
-    ``np.random.Philox(key=(seed << 64) | r).random_raw``. The bits of all
-    rows are computed at once (``_philox_words``); entry (r, c) does not
-    depend on the block sizes. ``project`` maps into ``width`` =
-    min(input_dim, output_dim) dimensions.
+    ``np.random.Philox(key=(seed << 64) | r).random_raw``. Each row's stream
+    is drawn once per Projection, on first use, and the packed bits are kept.
+    ``project`` maps into ``width`` = min(input_dim, output_dim) dimensions.
     """
 
     input_dim: int
@@ -121,20 +113,15 @@ class Projection:
         return min(self.input_dim, self.output_dim)
 
     def _packed_bits(self) -> np.ndarray:
-        """Cached (input_dim, ceil(k/8)) packed sign bits."""
+        """Cached (input_dim, ceil(k/8)) packed sign bits: one Philox stream per row."""
         if self._packed is None:
             n_bytes = (self.output_dim + 7) // 8
-            n_words = (n_bytes + 7) // 8
-            n_counters = (n_words + 3) // 4
-            step = max(1, _SIGN_BLOCK_COUNTERS // n_counters)
-            packed = np.empty((self.input_dim, n_bytes), dtype=np.uint8)
-            for r0 in range(0, self.input_dim, step):
-                rows = np.arange(r0, min(r0 + step, self.input_dim), dtype=np.uint64)
-                words = _philox_words(rows, self.seed % (1 << 64), n_counters)
-                packed[r0 : r0 + len(rows)] = (
-                    words[:, :n_words].astype("<u8").view(np.uint8)[:, :n_bytes]
-                )
-            self._packed = packed
+            key = (self.seed % (1 << 64)) << 64
+            rows = [
+                np.random.Philox(key=key | r).random_raw((n_bytes + 7) // 8).astype("<u8")
+                for r in range(self.input_dim)
+            ]
+            self._packed = np.ascontiguousarray(np.stack(rows).view(np.uint8)[:, :n_bytes])
         return self._packed
 
     def sign_block(self, r_start: int, r_stop: int, dtype=np.float64) -> np.ndarray:
@@ -191,36 +178,6 @@ class Projection:
             output_dim=int(data["output_dim"]),
             seed=int(data["seed"]),
         )
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b, from 32-bit halves."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
-    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
-    carry = ((a_lo * b_lo) >> 32) + (lo_hi & 0xFFFFFFFF) + (hi_lo & 0xFFFFFFFF)
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32), np.uint64(a) * b
-
-
-def _philox_words(rows: np.ndarray, seed: int, n_counters: int) -> np.ndarray:
-    """(len(rows), 4 * n_counters) uint64: the first words of each row's Philox stream.
-
-    Row r's stream is Philox4x64-10 under key (r, seed) of the counters
-    1, 2, ..., each giving four words: the words of
-    ``np.random.Philox(key=(seed << 64) | r).random_raw``.
-    """
-    shape = (len(rows), n_counters)
-    c0 = np.broadcast_to(np.arange(1, n_counters + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = rows[:, None], seed
-    for i in range(_PHILOX_ROUNDS):
-        if i:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = (k1 + _PHILOX_W[1]) % (1 << 64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(rows), -1)
 
 
 def project(vec: np.ndarray, proj: Projection) -> np.ndarray:

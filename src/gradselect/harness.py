@@ -27,13 +27,13 @@ by the run seed, so cells of one seed reuse shared upstream work, two seed
 jobs never write the same file, and a warm run trains nothing.
 
 A warm run (every stage a cache hit) trains, autolabels, builds and selects
-nothing. Per cell it still reads and splits the corpus, builds the
+nothing, and generates no sketch signs: only a fresh selection computes the
+directions. Per cell it still reads and splits the corpus, builds the
 vocabulary, reads the pool (each document set built once), hashes the pool
-and the selections for their cache keys, regenerates the sketch signs to
-project the directions, reads the cached selections and the retrained
-models' metrics, and scores every selection: the reference token set and the
-reference subsample's embedding once per cell (``Reference``), each
-selection's tokens, embedding and OT distance once per method.
+and the selections for their cache keys, reads the cached selections and the
+retrained models' metrics, and scores every selection: the reference token
+set and the reference subsample's embedding once per cell (``Reference``),
+each selection's tokens, embedding and OT distance once per method.
 
 Every cache file is written through ``corpus.atomic_write`` (a temporary file
 of the writer's own, renamed into place), so a process killed at any point
@@ -52,6 +52,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -477,8 +478,21 @@ def autolabel_pool(
 
 @dataclass
 class GradientArtifacts:
+    """The pool's store, and the directions from the first read of ``dirs`` on.
+
+    That read drops ``_inputs``, so the Projection's dense sign blocks do not
+    stay resident through selection and retraining.
+    """
+
     store: GradientStore
-    dirs: list[np.ndarray]
+    _inputs: tuple | None  # (checkpoints, theta_f, the store build's Projection)
+
+    @cached_property
+    def dirs(self) -> list[np.ndarray]:
+        checkpoints, theta_f, proj = self._inputs
+        dirs = [-direction(ckpt, theta_f, proj) for ckpt in checkpoints]
+        self._inputs = None
+        return dirs
 
 
 def gradient_stage(
@@ -487,16 +501,16 @@ def gradient_stage(
     pool: DocumentSet,
     workspace: Workspace,
 ) -> GradientArtifacts:
-    """Build (or reuse) the pool's store and compute the directions.
+    """Build (or reuse) the pool's store; the directions follow on first read.
 
     The pool is encoded and autolabeled only to build the store; after that
     its pseudolabels are read back from the store's aux block.
 
-    The directions handed to the selector are the projected last-layer diffs
-    oriented from the final model toward each synthetic checkpoint
-    (-(theta_f - theta_hat_j)): the loss gradient of training-consistent
-    data points away from the final model, so this orientation ranks such
-    data highest.
+    The directions are computed on first read, with the Projection a store
+    build used: the projected last-layer diffs oriented from the final model
+    toward each synthetic checkpoint (-(theta_f - theta_hat_j)), the loss
+    gradient of training-consistent data points away from the final model, so
+    this orientation ranks such data highest.
     """
     k = config.projection_dim
     checkpoints = _stage(
@@ -561,8 +575,7 @@ def gradient_stage(
             proj,
             store_path,
         )
-    dirs = [-direction(ckpt, ctx.theta_f, proj) for ckpt in checkpoints]
-    return GradientArtifacts(store=store, dirs=dirs)
+    return GradientArtifacts(store, (checkpoints, ctx.theta_f, proj))
 
 
 def run_selection(
@@ -572,10 +585,16 @@ def run_selection(
     method: str,
     workspace: Workspace,
 ) -> SelectionResult:
+    """``method``'s cached selection on the cell's store, else a fresh one.
+
+    The key names the store file (victim, pool, P, k, seed, seq_len) and its
+    header (a store rebuilt under that name misses), then the selection settings.
+    """
     num_select = config.selection_size
     key = _digest(
         [
             "selection",
+            artifacts.store.path.name,
             artifacts.store.header,
             method,
             config.scoring_rule,

@@ -170,7 +170,7 @@ class TestDerivedSets:
     def test_unlabeled(self, docs, positions):
         picked = range(len(docs)) if positions is None else positions
         want = DocumentSet(Document(i, docs[p].text, None) for i, p in enumerate(picked))
-        assert list(docs.unlabeled(positions)) == list(want)
+        assert list(docs.subset(picked).unlabeled()) == list(want)
 
     def test_unlabeled_keeps_a_set_that_already_is(self, make_docs):
         pool = make_docs(["a", "b"])

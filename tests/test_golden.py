@@ -40,6 +40,7 @@ import pytest
 
 from gradselect import harness
 from gradselect.corpus import save_jsonl
+from gradselect.gradstore import Projection
 from gradselect.harness import ExperimentConfig, Workspace, run_pipeline
 from gradselect.toycorpus import (
     make_classification_corpus,
@@ -171,13 +172,13 @@ CACHE_NAMES = {
         "retrain-6fee5f4ed34d7247.ckpt",
         "retrain-9994e964f8c7729e.ckpt",
         "retrain-ee654ae4e1defad6.ckpt",
-        "sel-032a6adfe232e1f7.json",
-        "sel-87424755013d7a6d.json",
-        "sel-8814210dccf74018.json",
-        "sel-a01de60795727414.json",
-        "sel-a80a66b52c5ca8bc.json",
-        "sel-c4d11fe2ad6ec957.json",
-        "sel-d8719449ac53f7d8.json",
+        "sel-02573ee54f403bb8.json",
+        "sel-73c8a64ac402c54e.json",
+        "sel-8ba825d430c403b2.json",
+        "sel-9d65f56c11ebff4d.json",
+        "sel-bd9b325f8563a6a1.json",
+        "sel-e8394e025068b760.json",
+        "sel-f809581a5412fd32.json",
         "store-a3b1c954f207bb8a.selg",
     ],
     "lm": [
@@ -186,12 +187,12 @@ CACHE_NAMES = {
         "retrain-5f843aeb744ededd.ckpt",
         "retrain-7df7ddcdee7e3744.ckpt",
         "retrain-9d2e420ca342bc13.ckpt",
-        "sel-15db80ab7a4c8400.json",
-        "sel-21bdb71c8d8ae0fd.json",
-        "sel-34d557a0f9d2eb1d.json",
-        "sel-5abf7ae68d25832d.json",
-        "sel-7bdf9e98f3a87afb.json",
-        "sel-b2800a90ce6f97d3.json",
+        "sel-15cd0a5460794e97.json",
+        "sel-27f9a3fe99e5f773.json",
+        "sel-2a0c39bbf7003b9c.json",
+        "sel-445546f6817e3ab0.json",
+        "sel-dd49473003952b7e.json",
+        "sel-f4989a0442c80217.json",
         "store-668da3c693df5e1c.selg",
     ],
 }
@@ -206,6 +207,34 @@ def test_cache_file_names_are_pinned(tmp_path, name):
         p.name for pattern in ("retrain-*.ckpt", "sel-*.json", "store-*.selg") for p in cache.glob(pattern)
     )
     assert got == CACHE_NAMES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_NAMES))
+def test_warm_run_generates_no_signs(tmp_path, monkeypatch, name):
+    """Cold, each checkpoint's direction is computed once, from the store build's signs.
+
+    Warm, every selection is a cache hit: no direction, no sign bits.
+    """
+    config = _config(name, tmp_path)
+    directions, generations = [], []
+    direction, packed_bits = harness.direction, Projection._packed_bits
+
+    def counting_direction(*args):
+        directions.append(args)
+        return direction(*args)
+
+    def counting_packed_bits(proj):
+        if proj._packed is None:
+            generations.append(proj)
+        return packed_bits(proj)
+
+    monkeypatch.setattr(harness, "direction", counting_direction)
+    monkeypatch.setattr(Projection, "_packed_bits", counting_packed_bits)
+    for want in ((config.num_checkpoints, 1), (0, 0)):
+        directions.clear()
+        generations.clear()
+        assert not run_pipeline(config).provenance["errors"]
+        assert (len(directions), len(generations)) == want
 
 
 if __name__ == "__main__":

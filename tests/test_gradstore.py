@@ -167,21 +167,12 @@ SIGN_SEEDS = [0, 33, 2**63 + 5, 2**64 - 1]
 
 class TestProjection:
     @pytest.mark.parametrize("seed", SIGN_SEEDS)
-    @pytest.mark.parametrize("k", [1, 7, 64, 65, 512, 4096])
-    @pytest.mark.parametrize("block_counters", [5, gradstore._SIGN_BLOCK_COUNTERS])
-    def test_packed_bits_match_per_row_philox(self, monkeypatch, seed, k, block_counters):
-        # 5 counters a block: blocks of 5, 2 and 1 rows for k <= 256, 512 and 4096.
-        monkeypatch.setattr(gradstore, "_SIGN_BLOCK_COUNTERS", block_counters)
-        got = Projection(13, k, seed=seed)._packed_bits()
-        assert got.dtype == np.uint8 and got.flags.c_contiguous
-        assert got.tobytes() == philox_sign_bits(13, k, seed).tobytes()
-
-    @pytest.mark.parametrize("seed", SIGN_SEEDS)
-    def test_packed_bits_across_the_row_block_boundary(self, seed):
-        k = 4096
-        rows_per_block = gradstore._SIGN_BLOCK_COUNTERS // (k // 256)
-        dim = rows_per_block + 3
+    @pytest.mark.parametrize(
+        "dim, k", [(13, 1), (13, 7), (13, 64), (13, 65), (13, 512), (13, 4096), (4099, 4096)]
+    )
+    def test_packed_bits_match_per_row_philox(self, seed, dim, k):
         got = Projection(dim, k, seed=seed)._packed_bits()
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
         assert got.tobytes() == philox_sign_bits(dim, k, seed).tobytes()
 
     def test_sign_block_unpacks_the_bits(self):

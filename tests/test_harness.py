@@ -695,8 +695,10 @@ class TestExperiments:
         assert [r["leak_fraction"] for r in bundle.rows] == [0.1, 0.5, 0.9]
         for row in bundle.rows:
             assert 0 <= row["leaked_selected"] <= 15
+        # Each cell selects from its own pool, so none reuses another's selection.
+        assert len(list(Workspace(config.out_dir).cache_dir.glob("sel-*.json"))) == 3
 
-    def test_crossseed_matrix(self, tmp_path):
+    def test_crossseed_matrix(self, tmp_path, monkeypatch):
         a, b = tmp_path / "task_a.jsonl", tmp_path / "task_b.jsonl"
         write_corpus(a, seed=1)
         write_corpus(b, seed=2)
@@ -714,10 +716,33 @@ class TestExperiments:
                 "seed_corpora": {"pa": str(pool_a), "pb": str(pool_b)},
             },
         )
+        picked = {}
+        run_selection = harness.run_selection
+
+        def recording(cfg, *args):
+            result = run_selection(cfg, *args)
+            picked[cfg.out_dir, cfg.corpus, cfg.seed_corpus] = result.indices
+            return result
+
+        monkeypatch.setattr(harness, "run_selection", recording)
         bundle = run_experiment(config)
         assert {(r["task"], r["seed_corpus"]) for r in bundle.rows} == {
             ("a", "pa"), ("a", "pb"), ("b", "pa"), ("b", "pb")
         }
+        # Two cells share a victim and a pool size: each still selects from its own pool.
+        assert len(list(Workspace(config.out_dir).cache_dir.glob("sel-*.json"))) == 4
+        alone = base_config(
+            tmp_path,
+            corpus=str(a),
+            seed_corpus=str(pool_b),
+            out_dir=str(tmp_path / "alone"),
+            seeds=[0],
+            selection_size=10,
+            methods=["select"],
+        )
+        assert not run_pipeline(alone).provenance["errors"]
+        cell = (str(a), str(pool_b))
+        assert picked[(config.out_dir, *cell)] == picked[(alone.out_dir, *cell)]
 
     def test_projection_dim_grid(self, tmp_path):
         config = base_config(
