@@ -9,8 +9,9 @@ pseudolabels from its aux block. One function, ``cmd_stage``, runs the chain
 up to the named stage and writes that stage's artifacts under the config's
 out_dir. Run in sequence, each command re-runs the prefix before it, which the
 content-addressed cache turns into reads of the victim, store, selections and
-retrained models that earlier commands wrote: ``retrain`` copies the cached
-model out, and ``metrics`` reads its metrics instead of training again.
+retrained models that earlier commands wrote: ``train-victim`` and ``retrain``
+copy the cached checkpoints out, one file per model with its meta in the
+header, and ``metrics`` reads its metrics instead of training again.
 
 The selection stages share ``harness.select_methods`` with the experiment
 runner, so a method is selected, retrained and scored as a runner cell does
@@ -105,8 +106,7 @@ def cmd_stage(args) -> int:
         save_jsonl(ctx.seed_split, out / "splits" / "seed_split.jsonl")
         for name in ("theta0", "thetaf"):
             cached = workspace.victim_checkpoint(ctx.victim_key, name)
-            for suffix in ("", ".meta.json"):
-                shutil.copyfile(f"{cached}{suffix}", out / "checkpoints" / f"{name}.ckpt{suffix}")
+            shutil.copyfile(cached, out / "checkpoints" / f"{name}.ckpt")
         metrics = evaluate(ctx.theta_f, ctx.test_docs, ctx.vocab, config.seq_len)
         print(f"victim trained: {json.dumps(metrics.to_dict())}")
         return 0

@@ -135,10 +135,6 @@ class SeedPool:
             raise ValueError("leak_mask length must equal document count")
         object.__setattr__(self, "leak_mask", mask)
 
-    @property
-    def leak_count(self) -> int:
-        return int(self.leak_mask.sum())
-
 
 class Vocab:
     """Frequency-ranked token vocabulary with reserved padding/unknown ids."""

@@ -21,13 +21,13 @@ sketch would. ``Projection.output_dim`` keeps the requested k; the header's
 ``k`` (``GradientStore.k``) is the stored width.
 
 Store layout (little-endian), written only by ``write_store``: magic "SELG",
-u32 version, u32 header length, JSON header, then one contiguous
-(num_examples x width) float32 block per checkpoint, then two float32 aux
-blocks of length num_examples (loss under the final model, pseudolabel; -1
-where no label applies). The header holds the fingerprint of every
-checkpoint and, from ``build_store``, of the final model the aux blocks came
-from. Headers written with a ``chunk_rows`` field still open; the field is
-ignored.
+u32 version, u32 header length, JSON header (the frame checkpoints share,
+``model.write_header``), then one contiguous (num_examples x width) float32
+block per checkpoint, then two float32 aux blocks of length num_examples
+(loss under the final model, pseudolabel; -1 where no label applies). The
+header holds the fingerprint of every checkpoint and, from ``build_store``,
+of the final model the aux blocks came from. Headers written with a
+``chunk_rows`` field still open; the field is ignored.
 
 Every selector scores a store through ``GradientStore.scores``: one fused
 float64 pass over each block, in slices of ``_READ_BLOCK_ROWS`` rows, gives
@@ -46,7 +46,6 @@ open.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -59,8 +58,9 @@ from .model import (
     ModelParams,
     _head_positions,
     _per_example_losses,
-    _read_exact,
     _residual,
+    read_header,
+    write_header,
 )
 
 STORE_MAGIC = b"SELG"
@@ -248,37 +248,26 @@ def direction(
     return project(diff, proj)
 
 
+def _store_floats(header: dict) -> int:
+    """P blocks of num_examples x k rows, then two aux blocks of num_examples."""
+    return (int(header["P"]) * int(header["k"]) + 2) * int(header["num_examples"])
+
+
 class GradientStore:
     """Read view over a store file: P blocks of projected gradient rows."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        with open(self.path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != STORE_MAGIC:
-                raise ValueError(
-                    f"bad store magic {magic!r}, expected {STORE_MAGIC!r}"
-                )
-            version, header_len = struct.unpack("<II", _read_exact(fh, 8, "store"))
-            if version != STORE_VERSION:
-                raise ValueError(f"unsupported store version {version}")
-            self.header = json.loads(_read_exact(fh, header_len, "store").decode("utf-8"))
-            self._data_offset = 12 + header_len
+        self.header, self._data_offset = read_header(
+            self.path, STORE_MAGIC, STORE_VERSION, "store", _store_floats
+        )
         self.num_examples = int(self.header["num_examples"])
         self.k = int(self.header["k"])
         self.num_checkpoints = int(self.header["P"])
         self.projection = Projection.from_dict(self.header["projection"])
         self.fingerprints = list(self.header["checkpoint_fingerprints"])
-        total = self.num_checkpoints * self.num_examples * self.k + 2 * self.num_examples
-        expected_bytes = self._data_offset + 4 * total
-        size = self.path.stat().st_size
-        if size != expected_bytes:
-            raise ValueError(
-                f"unexpected end of store: {size} bytes, expected {expected_bytes}"
-            )
-        self._flat = np.memmap(
-            self.path, dtype="<f4", mode="r", offset=self._data_offset, shape=(total,)
-        )
+        # read_header checked the size: the map holds exactly the header's floats.
+        self._flat = np.memmap(self.path, dtype="<f4", mode="r", offset=self._data_offset)
         aux_start = self.num_checkpoints * self.num_examples * self.k
         self.final_losses = np.asarray(
             self._flat[aux_start : aux_start + self.num_examples], dtype=np.float64
@@ -364,9 +353,7 @@ def write_store(
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     header_bytes += b" " * (-(12 + len(header_bytes)) % _DATA_ALIGN)
     with atomic_write(path) as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<II", STORE_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
+        write_header(fh, STORE_MAGIC, STORE_VERSION, header_bytes)
         for block in blocks:
             rows = 0
             for slab in [block] if isinstance(block, np.ndarray) else block:

@@ -39,7 +39,9 @@ Every cache file is written through ``corpus.atomic_write`` (a temporary file
 of the writer's own, renamed into place), so a process killed at any point
 leaves each cache file as it was or complete, at worst beside an orphan
 ``*.tmp``. Nothing calls ``fsync``: an OS crash or power loss may persist a
-rename before its data and leave a cache file empty or partly written.
+rename before its data and leave a cache file empty or truncated. Every stage
+finds its file through ``Workspace.load``, which detects such a file, or a
+malformed or stale one, so that the stage builds and writes it again.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -87,6 +89,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     OptimizerConfig,
+    checkpoint_header,
     init_params,
     load_checkpoint,
     reject_unknown_keys,
@@ -107,6 +110,8 @@ from .selector import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 EXPERIMENT_KINDS = (
     "pipeline",
@@ -133,8 +138,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, original: Exception):
         super().__init__(f"[{stage}] {original}")
-        self.stage = stage
-        self.original = original
 
 
 # The keys of ExperimentConfig.model: every ModelConfig field but the vocabulary size.
@@ -367,8 +370,7 @@ class RunContext:
 
 class Workspace:
     def __init__(self, out_dir: str | Path):
-        self.out_dir = Path(out_dir)
-        self.cache_dir = self.out_dir / "cache"
+        self.cache_dir = Path(out_dir) / "cache"
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
@@ -377,6 +379,19 @@ class Workspace:
     def victim_checkpoint(self, victim_key: str, name: str) -> Path:
         """Cached ``theta0`` or ``thetaf`` checkpoint of one victim."""
         return self.path(f"victim-{victim_key}.{name}.ckpt")
+
+    def load(self, path: Path, read: Callable[[Path], T]) -> T | None:
+        """``read(path)``, or None when the file is missing or ``read`` finds it
+        truncated, malformed or stale (ValueError, KeyError; logged): the caller
+        then builds and writes it. Other errors, OS errors among them, would
+        only recur on a rebuild and propagate."""
+        if not path.exists():
+            return None
+        try:
+            return read(path)
+        except (ValueError, KeyError) as exc:
+            logger.warning("rebuilding unusable cached %s: %s", path.name.split("-")[0], exc)
+            return None
 
 
 def _stage(name: str, fn: Callable, *args, **kwargs):
@@ -426,10 +441,11 @@ def prepare_run(
     )
     theta0_path = workspace.victim_checkpoint(victim_key, "theta0")
     thetaf_path = workspace.victim_checkpoint(victim_key, "thetaf")
-    if theta0_path.exists() and thetaf_path.exists():
-        theta0 = load_checkpoint(theta0_path)
-        theta_f = load_checkpoint(thetaf_path)
-    else:
+    # Looked up under thetaf, which is written last.
+    victim = workspace.load(
+        thetaf_path, lambda p: (load_checkpoint(theta0_path), load_checkpoint(p))
+    )
+    if victim is None:
         theta0 = init_params(model_cfg, run_seed)
         theta_f, _ = _stage(
             "train-victim",
@@ -448,6 +464,8 @@ def prepare_run(
         }
         save_checkpoint(theta0, theta0_path, meta)
         save_checkpoint(theta_f, thetaf_path, meta)
+    else:
+        theta0, theta_f = victim
     return RunContext(
         run_seed=run_seed,
         vocab=vocab,
@@ -535,7 +553,7 @@ def gradient_stage(
     )
     store_path = workspace.path(f"store-{store_key}.selg")
 
-    def open_cached(path: Path) -> GradientStore:
+    def read(path: Path) -> GradientStore:
         cached = GradientStore(path)
         # Earlier versions stored k-wide rows for k >= D under the same key.
         if cached.k != proj.width:
@@ -553,16 +571,7 @@ def gradient_stage(
             raise ValueError("cached classification store has no pseudolabels")
         return cached
 
-    store = None
-    if store_path.exists():
-        try:
-            store = _stage("open-store", open_cached, store_path)
-        except StageError as exc:
-            # A truncated, malformed or stale file; an OS error would only
-            # repeat on rebuild.
-            if not isinstance(exc.original, (ValueError, KeyError)):
-                raise
-            logger.warning("rebuilding unusable cached store: %s", exc)
+    store = workspace.load(store_path, read)
     if store is None:
         batch, pseudolabels = autolabel_pool(config, ctx, pool)
         store = _stage(
@@ -604,8 +613,9 @@ def run_selection(
         ]
     )
     path = workspace.path(f"sel-{key}.json")
-    if path.exists():
-        return load_selection(path)
+    cached = workspace.load(path, load_selection)
+    if cached is not None:
+        return cached
     if method == "select":
         result = select_greedy(
             artifacts.store, artifacts.dirs, num_select, config.scoring_rule
@@ -664,8 +674,8 @@ def retrain_selections(
 
     Each model is keyed by the victim (theta0, vocabulary, seq_len, validation
     and test sets), the selected texts and labels in order, and the retrain
-    optimizer. The metrics are the checkpoint's meta, written before it, so a
-    hit trains nothing and equal selections train once.
+    optimizer. The metrics are the meta in the checkpoint's header, so a hit
+    reads one header and trains nothing, and equal selections train once.
 
     The misses train in lockstep. For classification, the misses of one size
     are stacked into one ``retrain_and_eval`` call, in which each model sees
@@ -676,13 +686,17 @@ def retrain_selections(
     """
     lockstep = ctx.theta0.config.task == TASK_CLASSIFICATION
     paths: list[Path] = []
+    found: dict[Path, EvalMetrics | None] = {}
     groups: dict[Any, dict[Path, DocumentSet]] = {}
     for selected in selections:
         key = _digest(
             ["retrain", ctx.victim_key, _docs_digest(selected), config.retrain_opt.to_dict()]
         )
         paths.append(workspace.path(f"retrain-{key}.ckpt"))
-        if not paths[-1].exists():
+        found[paths[-1]] = workspace.load(
+            paths[-1], lambda p: EvalMetrics(**checkpoint_header(p)[0]["meta"])
+        )
+        if found[paths[-1]] is None:
             groups.setdefault(len(selected) if lockstep else key, {})[paths[-1]] = selected
     for group in groups.values():
         docs = [d for selected in group.values() for d in selected]
@@ -693,7 +707,8 @@ def retrain_selections(
         )
         for path, model, eval_metrics in zip(group, models.models(), metrics):
             save_checkpoint(model, path, eval_metrics.to_dict())
-    return [(p, EvalMetrics(**json.loads(Path(f"{p}.meta.json").read_text()))) for p in paths]
+            found[path] = eval_metrics
+    return [(path, found[path]) for path in paths]
 
 
 @dataclass

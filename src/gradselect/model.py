@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -602,77 +603,77 @@ def evaluate(
     return out if params.num_models is not None else out[0]
 
 
-def save_checkpoint(
-    params: ModelParams, path: str | Path, meta: dict | None = None
-) -> None:
-    """Binary little-endian checkpoint; tensors stored row-major float32."""
+def save_checkpoint(params: ModelParams, path: str | Path, meta: dict | None = None) -> None:
+    """Binary little-endian checkpoint in one atomic write: a JSON header (config,
+    tensor names and shapes, ``meta``), then the tensors, row-major float32."""
     params.validate()
-    cfg = params.config
-    tensors = [
-        {"name": name, "shape": list(block.shape)}
-        for name, block in params.blocks().items()
-    ]
-    header = dict(cfg.to_dict(), tensors=tensors)
+    tensors = [{"name": name, "shape": list(b.shape)} for name, b in params.blocks().items()]
+    header = dict(params.config.to_dict(), tensors=tensors, meta=meta)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    meta_path = Path(f"{path}.meta.json")
-    if meta is not None:
-        # Written first, so a checkpoint at ``path`` implies its meta is complete.
-        with atomic_write(meta_path) as fh:
-            fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    try:
-        with atomic_write(path) as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            for block in params.blocks().values():
-                fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
-    except BaseException:
-        # A meta whose checkpoint failed describes nothing.
-        if meta is not None:
-            meta_path.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        write_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header_bytes)
+        for block in params.blocks().values():
+            fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, count: int, what: str = "checkpoint") -> bytes:
+def _read_exact(fh, count: int, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
         raise ValueError(f"unexpected end of {what}")
     return data
 
 
-def load_checkpoint(path: str | Path) -> ModelParams:
+def write_header(fh, magic: bytes, version: int, header_bytes: bytes) -> None:
+    """The frame of every binary file: magic, u32 version, u32 header length, JSON header."""
+    fh.write(magic)
+    fh.write(struct.pack("<II", version, len(header_bytes)))
+    fh.write(header_bytes)
+
+
+def read_header(
+    path: str | Path, magic: bytes, version: int, what: str, floats: Callable[[dict], int]
+) -> tuple[dict, int]:
+    """The JSON header of a ``write_header`` file and the offset of the data after it.
+
+    ``floats(header)`` checks the header and returns the number of float32
+    values it says follow; a file of any other size is truncated or padded.
+    """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(
-                f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-            )
-        version, header_len = struct.unpack("<II", _read_exact(fh, 8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
-        config = ModelConfig.from_dict(header)
-        expected = _expected_shapes(config)
-        loaded: dict[str, np.ndarray] = {}
-        declared = [t["name"] for t in header["tensors"]]
-        if declared != list(expected):
-            raise ValueError(
-                f"checkpoint tensors {declared} do not match config blocks"
-            )
-        for tensor in header["tensors"]:
-            shape = tuple(tensor["shape"])
-            if shape != expected[tensor["name"]]:
-                raise ValueError(
-                    f"tensor {tensor['name']} shape {shape} does not match header"
-                )
-            count = int(np.prod(shape))
-            raw = _read_exact(fh, 4 * count)
-            loaded[tensor["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return ModelParams(
-        config=config,
-        embedding=loaded["embedding"],
-        head_w=loaded["head_w"],
-        head_b=loaded["head_b"],
-        hidden_w=loaded.get("hidden_w"),
-        hidden_b=loaded.get("hidden_b"),
-    )
+        found = _read_exact(fh, 4, what)
+        if found != magic:
+            raise ValueError(f"bad {what} magic {found!r}, expected {magic!r}")
+        found_version, header_len = struct.unpack("<II", _read_exact(fh, 8, what))
+        if found_version != version:
+            raise ValueError(f"unsupported {what} version {found_version}")
+        header = json.loads(_read_exact(fh, header_len, what).decode("utf-8"))
+        size = Path(path).stat().st_size
+    offset = 12 + header_len
+    expected = offset + 4 * floats(header)
+    if size != expected:
+        raise ValueError(f"unexpected end of {what}: {size} bytes, expected {expected}")
+    return header, offset
+
+
+def _checkpoint_floats(header: dict) -> int:
+    """The float count of a checkpoint whose tensors match its config, else ValueError."""
+    expected = list(_expected_shapes(ModelConfig.from_dict(header)).items())
+    declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    if declared != expected:
+        raise ValueError(f"checkpoint tensor shapes {declared} do not match config {expected}")
+    return sum(math.prod(shape) for _, shape in expected)
+
+
+def checkpoint_header(path: str | Path) -> tuple[dict, int]:
+    """A checkpoint's checked header (config, tensors, meta) and the offset of its tensors."""
+    return read_header(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", _checkpoint_floats)
+
+
+def load_checkpoint(path: str | Path) -> ModelParams:
+    header, offset = checkpoint_header(path)
+    config = ModelConfig.from_dict(header)
+    flat = np.fromfile(path, dtype="<f4", offset=offset)
+    blocks, start = {}, 0
+    for name, shape in _expected_shapes(config).items():
+        blocks[name] = flat[start : start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return ModelParams(config=config, **blocks)

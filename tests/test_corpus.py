@@ -345,18 +345,18 @@ class TestMixLeakage:
     def test_zero_fraction(self):
         true, dist = self._sets()
         pool = mix_leakage(true, dist, 0.0, 50, 1)
-        assert pool.leak_count == 0
+        assert int(pool.leak_mask.sum()) == 0
 
     def test_full_leak_is_true_set(self):
         true, dist = self._sets()
         pool = mix_leakage(true, dist, 1.0, 60, 1)
-        assert pool.leak_count == 60
+        assert int(pool.leak_mask.sum()) == 60
         assert sorted(d.text for d in pool.documents) == sorted(d.text for d in true)
 
     def test_exact_leak_count(self):
         true, dist = self._sets(600, 600)
         pool = mix_leakage(true, dist, 0.5, 1000, 2)
-        assert pool.leak_count == 500
+        assert int(pool.leak_mask.sum()) == 500
 
     def test_mask_marks_true_documents(self):
         true, dist = self._sets()

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -159,6 +160,56 @@ class TestConfig:
         assert "topk_balanced" not in lm.method_list()
 
 
+def cache_files(cache: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(cache.iterdir())}
+
+
+def halve(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def drop_meta(path: Path) -> None:
+    """Rewrite a checkpoint in the older format, whose header held no meta."""
+    header, offset = model.checkpoint_header(path)
+    del header["meta"]
+    tensors = path.read_bytes()[offset:]
+    with open(path, "wb") as fh:
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        model.write_header(fh, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, header_bytes)
+        fh.write(tensors)
+
+
+# case -> (the cache files it damages, the kind the rebuild logs, the damage)
+CACHE_DEFECTS = {
+    "store": ("store-*.selg", "store", halve),
+    "sel": ("sel-*.json", "sel", halve),
+    "theta0": ("victim-*.theta0.ckpt", "victim", halve),
+    "thetaf": ("victim-*.thetaf.ckpt", "victim", halve),
+    "retrain": ("retrain-*.ckpt", "retrain", halve),
+    "retrain_without_meta": ("retrain-*.ckpt", "retrain", drop_meta),
+}
+
+KILLED = 77
+
+
+def run_killed_at_rename(config: ExperimentConfig, n: int, after_rename: bool) -> None:
+    """Run ``config``'s pipeline and exit at once just before or after the n-th cache rename."""
+    real = os.replace
+    renames = []
+
+    def replace_then_exit(src, dst):
+        renames.append(dst)
+        if len(renames) == n and not after_rename:
+            os._exit(KILLED)
+        real(src, dst)
+        if len(renames) == n:
+            os._exit(KILLED)
+
+    os.replace = replace_then_exit
+    run_pipeline(config)
+
+
 class TestPipeline:
     def test_rows_methods_times_seeds(self, tmp_path):
         config = base_config(tmp_path, methods=["select", "random", "pmin"])
@@ -219,20 +270,52 @@ class TestPipeline:
         loaded = ReportBundle.from_json(out / "report.json")
         assert loaded.rows == bundle.rows
 
-    def test_truncated_cached_store_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("case", CACHE_DEFECTS)
+    def test_unusable_cache_file_is_rebuilt(self, tmp_path, caplog, case):
+        pattern, kind, damage = CACHE_DEFECTS[case]
         config = base_config(tmp_path, methods=["select", "random"], seeds=[0])
         first = run_pipeline(config)
         cache = Workspace(config.out_dir).cache_dir
-        (store,) = cache.glob("store-*.selg")
-        intact = store.read_bytes()
-        store.write_bytes(intact[: len(intact) // 2])
-        for sel in cache.glob("sel-*.json"):
-            sel.unlink()
-        second = run_pipeline(config)
+        intact = cache_files(cache)
+        damaged = list(cache.glob(pattern))
+        assert damaged
+        for path in damaged:
+            damage(path)
+        with caplog.at_level("WARNING", logger="gradselect.harness"):
+            second = run_pipeline(config)
+        assert f"rebuilding unusable cached {kind}" in caplog.text
         assert not second.provenance["errors"]
         assert second.rows == first.rows
-        assert store.read_bytes() == intact
-        assert not list(cache.glob("*.tmp"))
+        assert cache_files(cache) == intact
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="gradselect.harness"):
+            third = run_pipeline(config)
+        assert "rebuilding" not in caplog.text
+        assert not third.provenance["errors"]
+        assert third.rows == first.rows
+
+    @pytest.mark.parametrize("after_rename", [False, True], ids=["before_rename", "after_rename"])
+    def test_killed_cache_write_is_repaired(self, tmp_path, after_rename):
+        methods = ["select", "random"]
+        clean = base_config(tmp_path, methods=methods, seeds=[0], out_dir=str(tmp_path / "clean"))
+        clean_rows = run_pipeline(clean).rows
+        # One cell writes each of its cache files once.
+        want = cache_files(Workspace(clean.out_dir).cache_dir)
+        for n in range(1, len(want) + 1):
+            config = replace(clean, out_dir=str(tmp_path / f"killed_{n}"))
+            child = multiprocessing.get_context("fork").Process(
+                target=run_killed_at_rename, args=(config, n, after_rename)
+            )
+            child.start()
+            child.join(timeout=120)
+            assert child.exitcode == KILLED, n
+            again = run_pipeline(config)
+            assert not again.provenance["errors"], n
+            assert again.rows == clean_rows, n
+            files = cache_files(Workspace(config.out_dir).cache_dir)
+            orphans = [name for name in files if name.endswith(".tmp")]
+            assert len(orphans) == (0 if after_rename else 1), n
+            assert {k: v for k, v in files.items() if k not in orphans} == want, n
 
     @pytest.mark.parametrize("num_checkpoints", [1, 2])
     def test_cached_store_of_other_checkpoints_is_rebuilt(self, tmp_path, caplog, num_checkpoints):
@@ -564,8 +647,11 @@ class TestLockstepRetrain:
         assert any("disk full" in error for error in broken.provenance["errors"])
         cache = Workspace(config.out_dir).cache_dir
         assert not list(cache.glob("retrain-*"))
-        # The victim's checkpoints keep their metas.
-        assert len(list(cache.glob("victim-*.meta.json"))) == 2
+        # The victim's checkpoints keep their metas, in their headers.
+        victims = list(cache.glob("victim-*.ckpt"))
+        assert len(victims) == 2
+        assert all(model.checkpoint_header(p)[0]["meta"]["optimizer"] == "sgd" for p in victims)
+        assert not list(cache.glob("*.meta.json"))
 
     def test_write_failing_at_second_model_keeps_the_first(self, tmp_path, monkeypatch):
         methods = ["select", "random", "topk"]
@@ -580,7 +666,9 @@ class TestLockstepRetrain:
         assert any("disk full" in error for error in broken.provenance["errors"])
         cache = Workspace(config.out_dir).cache_dir
         (kept,) = cache.glob("retrain-*.ckpt")
-        assert [p.name for p in cache.glob("retrain-*.meta.json")] == [f"{kept.name}.meta.json"]
+        meta = model.checkpoint_header(kept)[0]["meta"]
+        assert set(meta) == {"accuracy", "mean_loss", "perplexity"}
+        assert not list(cache.glob("*.meta.json"))
         assert not list(cache.glob("*.tmp"))
         sizes = count_models_per_call(monkeypatch)
         again = run_pipeline(config)

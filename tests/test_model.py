@@ -14,6 +14,7 @@ from gradselect.model import (
     OptimizerState,
     batch_loss_and_grads,
     batch_mean_loss,
+    checkpoint_header,
     evaluate,
     init_params,
     load_checkpoint,
@@ -488,12 +489,14 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = self._params()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(params, path, meta={"optimizer": "adam", "seed": 4, "epochs": 3})
+        meta = {"optimizer": "adam", "seed": 4, "epochs": 3}
+        save_checkpoint(params, path, meta=meta)
         loaded = load_checkpoint(path)
         assert loaded.config == params.config
         for (_, a), (_, b) in zip(params.blocks().items(), loaded.blocks().items()):
             assert np.array_equal(a, b)
-        assert (tmp_path / "m.ckpt.meta.json").exists()
+        assert checkpoint_header(path)[0]["meta"] == meta
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, disk_full):
         path = tmp_path / "m.ckpt"
