@@ -260,13 +260,22 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def save_jsonl(docs: DocumentSet, path: str | Path) -> None:
-    """Persist documents as JSONL with an explicit "id" field."""
+    """Persist documents as UTF-8 JSONL, one line per document in order, in one write.
+
+    A line is ``{"id": <id>, "text": <text>, "label": <label>}\\n``, without the
+    label key for an unlabeled document. The text is escaped by
+    ``json.encoder.encode_basestring`` (quote, backslash and control characters
+    only), so each line equals ``json.dumps(record, ensure_ascii=False)``.
+    """
+    quote = json.encoder.encode_basestring
+    lines = [
+        f'{{"id": {d.id}, "text": {quote(d.text)}}}\n'
+        if d.label is None
+        else f'{{"id": {d.id}, "text": {quote(d.text)}, "label": {d.label}}}\n'
+        for d in docs
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            record: dict = {"id": d.id, "text": d.text}
-            if d.label is not None:
-                record["label"] = d.label
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.write("".join(lines))
 
 
 def build_vocab(docs: DocumentSet, max_size: int) -> Vocab:

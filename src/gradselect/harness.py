@@ -91,7 +91,7 @@ from .model import (
     OptimizerConfig,
     checkpoint_header,
     init_params,
-    load_checkpoint,
+    read_checkpoint,
     reject_unknown_keys,
     save_checkpoint,
     train,
@@ -382,15 +382,17 @@ class Workspace:
 
     def load(self, path: Path, read: Callable[[Path], T]) -> T | None:
         """``read(path)``, or None when the file is missing or ``read`` finds it
-        truncated, malformed or stale (ValueError, KeyError; logged): the caller
-        then builds and writes it. Other errors, OS errors among them, would
-        only recur on a rebuild and propagate."""
+        truncated, malformed or stale (ValueError, or KeyError for a header
+        without a key; logged): the caller then builds and writes it. Other
+        errors, OS errors among them, would only recur on a rebuild and
+        propagate."""
         if not path.exists():
             return None
         try:
             return read(path)
         except (ValueError, KeyError) as exc:
-            logger.warning("rebuilding unusable cached %s: %s", path.name.split("-")[0], exc)
+            reason = f"missing header key {exc}" if isinstance(exc, KeyError) else exc
+            logger.warning("rebuilding unusable cached %s: %s", path.name.split("-")[0], reason)
             return None
 
 
@@ -411,6 +413,14 @@ def model_config_for(config: ExperimentConfig, vocab: Vocab) -> ModelConfig:
         hidden_layer=bool(config.model.get("hidden_layer", False)),
         task=config.task,
     )
+
+
+def _victim_params(path: Path) -> ModelParams:
+    """A cached victim checkpoint; KeyError for the older format, whose header has no meta."""
+    params, header = read_checkpoint(path)
+    if "meta" not in header:
+        raise KeyError("meta")
+    return params
 
 
 def prepare_run(
@@ -443,7 +453,7 @@ def prepare_run(
     thetaf_path = workspace.victim_checkpoint(victim_key, "thetaf")
     # Looked up under thetaf, which is written last.
     victim = workspace.load(
-        thetaf_path, lambda p: (load_checkpoint(theta0_path), load_checkpoint(p))
+        thetaf_path, lambda p: (_victim_params(theta0_path), _victim_params(p))
     )
     if victim is None:
         theta0 = init_params(model_cfg, run_seed)
@@ -692,12 +702,15 @@ def retrain_selections(
         key = _digest(
             ["retrain", ctx.victim_key, _docs_digest(selected), config.retrain_opt.to_dict()]
         )
-        paths.append(workspace.path(f"retrain-{key}.ckpt"))
-        found[paths[-1]] = workspace.load(
-            paths[-1], lambda p: EvalMetrics(**checkpoint_header(p)[0]["meta"])
+        path = workspace.path(f"retrain-{key}.ckpt")
+        paths.append(path)
+        if path in found:
+            continue  # an equal selection looked it up already
+        found[path] = workspace.load(
+            path, lambda p: EvalMetrics(**checkpoint_header(p)[0]["meta"])
         )
-        if found[paths[-1]] is None:
-            groups.setdefault(len(selected) if lockstep else key, {})[paths[-1]] = selected
+        if found[path] is None:
+            groups.setdefault(len(selected) if lockstep else key, {})[path] = selected
     for group in groups.values():
         docs = [d for selected in group.values() for d in selected]
         models, metrics = _stage(

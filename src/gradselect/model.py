@@ -668,7 +668,8 @@ def checkpoint_header(path: str | Path) -> tuple[dict, int]:
     return read_header(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", _checkpoint_floats)
 
 
-def load_checkpoint(path: str | Path) -> ModelParams:
+def read_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
+    """A checkpoint's parameters and its checked header, which is read once."""
     header, offset = checkpoint_header(path)
     config = ModelConfig.from_dict(header)
     flat = np.fromfile(path, dtype="<f4", offset=offset)
@@ -676,4 +677,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     for name, shape in _expected_shapes(config).items():
         blocks[name] = flat[start : start + math.prod(shape)].reshape(shape)
         start += math.prod(shape)
-    return ModelParams(config=config, **blocks)
+    return ModelParams(config=config, **blocks), header
+
+
+def load_checkpoint(path: str | Path) -> ModelParams:
+    return read_checkpoint(path)[0]

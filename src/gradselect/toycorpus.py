@@ -8,6 +8,11 @@ filler-only junk, plus a fixed redundancy cluster that rewards selection rules
 which penalize redundancy: in the classification pool, a quarter of the useful
 documents are keyword-dense near-duplicates on the first three words of class
 0's topic; in the next-token pool, 30% of the useful documents repeat phrase 0.
+
+Words are drawn by index: one ``rng.integers(0, len(words), size=k)`` call per
+word list and document, which is the stream ``Generator.choice`` draws for a
+uniform choice with replacement, without its conversion of the list to an
+array. ``tests/test_toycorpus.py`` pins the JSONL bytes of every generator.
 """
 
 from __future__ import annotations
@@ -50,20 +55,32 @@ def _topic(index: int, offset: int) -> list[str]:
     return TOPIC_WORDS[(index + offset) % NUM_TOPICS]
 
 
+def _draw(rng: np.random.Generator, words: list[str], k: int) -> list[str]:
+    """k words drawn uniformly with replacement: ``rng.choice(words, size=k)``'s stream."""
+    return [words[i] for i in rng.integers(0, len(words), size=k).tolist()]
+
+
 def _topical_text(
     rng: np.random.Generator,
     keywords: list[str],
     n_keywords: int,
     length: int,
 ) -> str:
-    words = list(rng.choice(keywords, size=n_keywords))
-    words += list(rng.choice(FILLER_WORDS, size=max(length - n_keywords, 0)))
+    words = _draw(rng, keywords, n_keywords)
+    words += _draw(rng, FILLER_WORDS, max(length - n_keywords, 0))
     rng.shuffle(words)
     return " ".join(words)
 
 
 def _filler_text(rng: np.random.Generator, length: int) -> str:
-    return " ".join(rng.choice(FILLER_WORDS, size=length))
+    return " ".join(_draw(rng, FILLER_WORDS, length))
+
+
+def _check_num_classes(num_classes: int) -> None:
+    if not 1 <= num_classes <= NUM_TOPICS:
+        raise ValueError(
+            f"num_classes must be in [1, {NUM_TOPICS}] (one topic per class), got {num_classes}"
+        )
 
 
 def make_classification_corpus(
@@ -77,6 +94,7 @@ def make_classification_corpus(
     len_hi: int = 14,
 ) -> DocumentSet:
     """Balanced labeled corpus: class c documents carry topic-c keywords."""
+    _check_num_classes(num_classes)
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n):
@@ -104,10 +122,11 @@ def make_pool_corpus(
     class 0, producing the redundant high-alignment cluster that trips plain
     top-k selection.
     """
+    _check_num_classes(num_classes)
     rng = np.random.default_rng(seed)
     n_useful = int(round(useful_fraction * n))
     n_heavy = int(round(0.25 * n_useful))
-    docs = []
+    texts = []
     for i in range(n):
         if i < n_heavy:
             text = _topical_text(
@@ -126,10 +145,10 @@ def make_pool_corpus(
             )
         else:
             text = _filler_text(rng, int(rng.integers(8, 14)))
-        docs.append(Document(i, text, None))
+        texts.append(text)
     order = rng.permutation(n)
     return DocumentSet(
-        Document(i, docs[int(p)].text, None) for i, p in enumerate(order)
+        Document(i, texts[int(p)], None) for i, p in enumerate(order)
     )
 
 
@@ -140,7 +159,7 @@ def phrase_bank(num_phrases: int, seed: int, topic_offset: int = 0) -> list[str]
     for i in range(num_phrases):
         topic = _topic(i % NUM_TOPICS, topic_offset)
         keys = rng.choice(topic, size=4, replace=False)
-        fillers = rng.choice(FILLER_WORDS, size=5)
+        fillers = _draw(rng, FILLER_WORDS, 5)
         phrases.append(
             f"{fillers[0]} {keys[0]} {fillers[1]} {keys[1]} {keys[2]} "
             f"{fillers[2]} {fillers[3]} {keys[3]} {fillers[4]}"

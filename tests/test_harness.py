@@ -188,6 +188,8 @@ CACHE_DEFECTS = {
     "thetaf": ("victim-*.thetaf.ckpt", "victim", halve),
     "retrain": ("retrain-*.ckpt", "retrain", halve),
     "retrain_without_meta": ("retrain-*.ckpt", "retrain", drop_meta),
+    "theta0_without_meta": ("victim-*.theta0.ckpt", "victim", drop_meta),
+    "thetaf_without_meta": ("victim-*.thetaf.ckpt", "victim", drop_meta),
 }
 
 KILLED = 77
@@ -293,6 +295,26 @@ class TestPipeline:
         assert "rebuilding" not in caplog.text
         assert not third.provenance["errors"]
         assert third.rows == first.rows
+
+    @pytest.mark.parametrize(
+        "damage, reason", [(halve, "unexpected end"), (drop_meta, "missing header key 'meta'")]
+    )
+    def test_shared_retrain_checkpoint_is_rebuilt_once(self, tmp_path, caplog, damage, reason):
+        # select and select_batch pick the same documents here, so they share one model.
+        config = base_config(tmp_path, methods=["select", "select_batch"], seeds=[0])
+        first = run_pipeline(config)
+        cache = Workspace(config.out_dir).cache_dir
+        intact = cache_files(cache)
+        (shared,) = cache.glob("retrain-*.ckpt")
+        damage(shared)
+        with caplog.at_level("WARNING", logger="gradselect.harness"):
+            second = run_pipeline(config)
+        rebuilds = [r.getMessage() for r in caplog.records if "rebuilding" in r.getMessage()]
+        assert len(rebuilds) == 1
+        assert rebuilds[0].startswith("rebuilding unusable cached retrain: ")
+        assert reason in rebuilds[0]
+        assert second.rows == first.rows
+        assert cache_files(cache) == intact
 
     @pytest.mark.parametrize("after_rename", [False, True], ids=["before_rename", "after_rename"])
     def test_killed_cache_write_is_repaired(self, tmp_path, after_rename):
