@@ -8,10 +8,12 @@ autolabels the pool only to build the store; later commands read the
 pseudolabels from its aux block. One function, ``cmd_stage``, runs the chain
 up to the named stage and writes that stage's artifacts under the config's
 out_dir. Run in sequence, each command re-runs the prefix before it, which the
-content-addressed cache turns into reads of the victim, store, selections and
-retrained models that earlier commands wrote: ``train-victim`` and ``retrain``
-copy the cached checkpoints out, one file per model with its meta in the
-header, and ``metrics`` reads its metrics instead of training again.
+content-addressed cache turns into reads of the victim, store, selections,
+retrained models and scores that earlier commands wrote: ``train-victim`` and
+``retrain`` copy the cached checkpoints out, one file per model with its meta
+in the header, and ``metrics`` reads the retrained models' metrics instead of
+training again and each selection's cached scores instead of scoring again
+(``harness.score_selection``, the runner's scoring step).
 
 The selection stages share ``harness.select_methods`` with the experiment
 runner, so a method is selected, retrained and scored as a runner cell does
@@ -31,7 +33,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, toycorpus
-from .corpus import save_jsonl
+from .corpus import DocumentSet, save_jsonl
 from .harness import ExperimentConfig, Workspace
 from .model import evaluate
 from .selector import write_selection
@@ -51,8 +53,20 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_gen_corpus(args) -> int:
+    """Write the corpus; a generator's ValueError (an out-of-range option) is a usage error."""
+    try:
+        docs = _generate_corpus(args)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    save_jsonl(docs, args.out)
+    print(f"wrote {len(docs)} documents to {args.out}")
+    return 0
+
+
+def _generate_corpus(args) -> DocumentSet:
     if args.kind == "classification":
-        docs = toycorpus.make_classification_corpus(
+        return toycorpus.make_classification_corpus(
             args.n,
             args.classes,
             args.seed,
@@ -61,7 +75,7 @@ def cmd_gen_corpus(args) -> int:
             key_hi=args.key_hi,
         )
     elif args.kind == "pool":
-        docs = toycorpus.make_pool_corpus(
+        return toycorpus.make_pool_corpus(
             args.n,
             args.classes,
             args.seed,
@@ -69,18 +83,14 @@ def cmd_gen_corpus(args) -> int:
             topic_offset=args.topic_offset,
         )
     elif args.kind == "lm":
-        docs = toycorpus.make_lm_corpus(args.n, args.seed, topic_offset=args.topic_offset)
+        return toycorpus.make_lm_corpus(args.n, args.seed, topic_offset=args.topic_offset)
     else:
-        docs = toycorpus.make_lm_pool(
+        return toycorpus.make_lm_pool(
             args.n,
             args.seed,
             useful_fraction=args.useful_fraction,
             topic_offset=args.topic_offset,
         )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    save_jsonl(docs, args.out)
-    print(f"wrote {len(docs)} documents to {args.out}")
-    return 0
 
 
 def _methods_arg(config: ExperimentConfig, method: str | None) -> tuple[str, ...]:
@@ -155,7 +165,7 @@ def cmd_stage(args) -> int:
             report = json.dumps(metrics.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}_eval.json").write_text(report)
         else:
-            scored = harness.score_selection(config, ctx, docs, reference, metrics)
+            scored = harness.score_selection(config, ctx, docs, reference, metrics, workspace)
             report = json.dumps(scored.to_dict(), sort_keys=True)
             (out / "reports" / f"{method}.json").write_text(report)
         print(f"{method}: {report}")
@@ -194,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--topic-offset", type=int, default=0)
     gen.add_argument("--key-lo", type=int, default=3)
     gen.add_argument("--key-hi", type=int, default=6)
-    gen.set_defaults(fn=cmd_gen_corpus)
+    # parser.error prints gen-corpus's usage line and the message, and exits 2.
+    gen.set_defaults(fn=cmd_gen_corpus, usage_error=gen.error)
 
     def add_common(p, with_method=False):
         p.add_argument("--config", required=True, help="experiment config JSON")

@@ -21,19 +21,20 @@ pool and mixes training documents in (``corpus.mix_leakage``).
 One job per seed runs every cell of that seed; a failing cell lands in
 ``provenance.errors`` and the other cells still run. ``run_experiment`` runs
 the seed jobs, ``parallel`` at a time, and orders rows by (cell, method,
-seed). Stage artifacts (checkpoints, stores, selections and the models
-retrained on them) are content-addressed under ``<out_dir>/cache`` and keyed
-by the run seed, so cells of one seed reuse shared upstream work, two seed
-jobs never write the same file, and a warm run trains nothing.
+seed). Stage artifacts (checkpoints, stores, selections, the models
+retrained on them and their scores) are content-addressed under
+``<out_dir>/cache`` and keyed by the run seed, so cells of one seed reuse
+shared upstream work, two seed jobs never write the same file, and a warm run
+trains nothing.
 
-A warm run (every stage a cache hit) trains, autolabels, builds and selects
-nothing, and generates no sketch signs: only a fresh selection computes the
-directions. Per cell it still reads and splits the corpus, builds the
-vocabulary, reads the pool (each document set built once), hashes the pool
-and the selections for their cache keys, reads the cached selections and the
-retrained models' metrics, and scores every selection: the reference token
-set and the reference subsample's embedding once per cell (``Reference``),
-each selection's tokens, embedding and OT distance once per method.
+A warm run (every stage a cache hit) trains, autolabels, builds, selects
+and scores nothing, and generates no sketch signs: only a fresh selection
+computes the directions. Per cell it still reads and splits the corpus,
+builds the vocabulary, reads the pool (each document set built once), hashes
+the pool and the selections for their cache keys, and reads the cached
+selections, the retrained models' metrics and each selection's scores. The
+reference set is neither tokenized nor embedded: ``Reference`` computes both
+on first read, which only a score that misses makes.
 
 Every cache file is written through ``corpus.atomic_write`` (a temporary file
 of the writer's own, renamed into place), so a process killed at any point
@@ -66,6 +67,7 @@ from .corpus import (
     DocumentSet,
     TokenBatch,
     Vocab,
+    atomic_write,
     build_vocab,
     encode_documents,
     load_jsonl,
@@ -76,6 +78,7 @@ from .gradstore import GradientStore, Projection, build_store, direction
 from .metrics import (
     EmbeddingSet,
     MetricsReport,
+    OTResult,
     embed,
     ot_distance,
     retrain_and_eval,
@@ -336,9 +339,18 @@ def _file_digest(path: str | Path) -> str:
 
 
 def _docs_digest(docs: DocumentSet) -> str:
-    """sha256 of each document's text followed by its label ("None" when unlabeled)."""
-    data = "".join([d.text + str(d.label) for d in docs]).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
+    """sha256 of the labels' list repr, the text lengths as int64, then the texts joined.
+
+    The list ends at its "]" and gives the count, and the lengths cut the
+    joined texts apart again, so two different lists of texts and labels
+    never hash the same bytes. Nothing here allocates a container per
+    document, which would trigger garbage collections.
+    """
+    texts = docs.texts
+    digest = hashlib.sha256(repr([d.label for d in docs]).encode())
+    digest.update(np.fromiter(map(len, texts), "<i8", len(texts)).tobytes())
+    digest.update("".join(texts).encode())
+    return digest.hexdigest()[:16]
 
 
 def carve_validation(
@@ -728,18 +740,46 @@ def retrain_selections(
 class Reference:
     """The set a cell's selections are scored against, with what scoring reads of it.
 
-    Both are computed once per cell instead of once per method: ``tokens``,
-    its token set, and ``embedded``, the embedding of the OT subsample
+    Both are computed on first read and kept for the cell, so a cell whose
+    scores all hit the cache tokenizes and embeds nothing: ``tokens``, its
+    token set, and ``embedded``, the embedding of the OT subsample
     ``recovery_ot`` draws from it, kept per selection size (the subsample
     depends on nothing else within one cell).
     """
 
     docs: DocumentSet
-    tokens: frozenset[str] = field(init=False)
     embedded: dict[int, EmbeddingSet] = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        self.tokens = token_set(self.docs)
+    @cached_property
+    def tokens(self) -> frozenset[str]:
+        return token_set(self.docs)
+
+
+# The fields of a score file's "ot" object, each with the types JSON gives it.
+_OT_FIELD_TYPES = {
+    "distance": (float,),
+    "mode": (str,),
+    "epsilon": (float, type(None)),
+    "iterations": (int,),
+    "converged": (bool,),
+}
+
+
+def _read_score(path: Path) -> tuple[float, OTResult]:
+    """A score file's containment and OT result; ValueError when it is malformed."""
+    data = json.loads(path.read_text())
+    ot = data.get("ot") if isinstance(data, dict) else None
+    if (
+        not isinstance(ot, dict)
+        or sorted(data) != ["ot", "vocab_containment"]
+        or sorted(ot) != sorted(_OT_FIELD_TYPES)
+    ):
+        raise ValueError("score file does not hold vocab_containment and the five ot fields")
+    if type(data["vocab_containment"]) is not float or any(
+        type(ot[name]) not in types for name, types in _OT_FIELD_TYPES.items()
+    ):
+        raise ValueError("score file holds a field of the wrong type")
+    return data["vocab_containment"], OTResult(**ot)
 
 
 def score_selection(
@@ -748,11 +788,28 @@ def score_selection(
     selected: DocumentSet,
     reference: Reference,
     eval_metrics: EvalMetrics,
+    workspace: Workspace,
 ) -> MetricsReport:
-    """Compare the selection to the reference set, next to its retrained model's test metrics."""
-    containment = _stage("metrics", vocab_containment, selected, reference.tokens)
-    ot = _stage("metrics", recovery_ot, config, ctx, selected, reference)
-    return MetricsReport(eval_metrics, containment, ot)
+    """Compare the selection to the reference set, next to its retrained model's test metrics.
+
+    The scores are cached as ``score-<key>.json``, keyed by the victim (the
+    reference set, theta0's embedding table, the vocabulary, seq_len and the
+    run seed that draws the OT subsamples), the selected texts and labels in
+    order (the subsample is drawn by position) and ``ot_max_points``. The
+    file holds ``vocab_containment`` and every ``OTResult`` field, so a hit
+    gives the report a miss gives.
+    """
+    key = _digest(["score", ctx.victim_key, _docs_digest(selected), config.ot_max_points])
+    path = workspace.path(f"score-{key}.json")
+    scores = workspace.load(path, _read_score)
+    if scores is None:
+        containment = _stage("metrics", vocab_containment, selected, reference.tokens)
+        ot = _stage("metrics", recovery_ot, config, ctx, selected, reference)
+        data = {"vocab_containment": containment, "ot": asdict(ot)}
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(data, sort_keys=True).encode())
+        scores = containment, ot
+    return MetricsReport(eval_metrics, *scores)
 
 
 def recovery_ot(
@@ -876,7 +933,7 @@ def _optimizer_fields(role: str, opt: OptimizerConfig, override: dict) -> dict:
 
 def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
     """pool -> size check -> gradient_stage -> select_methods ->
-    retrain_selections -> score_selection for every method -> rows.
+    retrain_selections -> score_selection (cached) for every method -> rows.
 
     A leakage cell mixes ``leak_pool_size`` documents from the training set
     and the candidate pool. Every method selects before any model trains, so
@@ -903,7 +960,7 @@ def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
     retrained = retrain_selections(config, ctx, [selected for _, selected, _ in chosen], workspace)
     rows = []
     for (method, selected, result), (_, eval_metrics) in zip(chosen, retrained):
-        report = score_selection(config, ctx, selected, reference, eval_metrics)
+        report = score_selection(config, ctx, selected, reference, eval_metrics, workspace)
         row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
         if leak_fraction is not None:
             row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -120,6 +121,34 @@ class TestLoadJsonl:
         want = [r for r in records if r["text"].strip()]
         want = DocumentSet(Document(i, r["text"], r.get("label")) for i, r in enumerate(want))
         assert list(load_jsonl(path)) == list(want)
+
+    @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("bad_line", [False, True], ids=["good", "bad_line"])
+    def test_parses_with_gc_paused_and_restores_the_callers_state(
+        self, tmp_path, monkeypatch, caller_gc, bad_line
+    ):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "a"}\n' + ("not json\n" if bad_line else '{"text": "b"}\n'))
+        parse, during = corpus._parse_lines, []
+
+        def recording_parse(chunk):
+            during.append(gc.isenabled())
+            return parse(chunk)
+
+        monkeypatch.setattr(corpus, "_parse_lines", recording_parse)
+        was = gc.isenabled()
+        (gc.enable if caller_gc else gc.disable)()
+        try:
+            if bad_line:
+                with pytest.raises(ValueError, match="line 2"):
+                    load_jsonl(path)
+            else:
+                assert [d.text for d in load_jsonl(path)] == ["a", "b"]
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
+        assert after is caller_gc
 
     def test_round_trip_with_leak_mask(self, tmp_path, make_docs):
         docs = make_docs(["x y", "z w"], [0, None])

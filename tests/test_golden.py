@@ -160,40 +160,57 @@ def test_matches_golden(tmp_path, name):
     _assert_matches(got["selections"], want["selections"], step_rtol, f"{name}.selections")
 
 
-# The store, selection and retrained-model cache files of the cls and lm
-# configs. Their names are the cache keys: a change to a key, or to
-# ``harness._docs_digest`` inside it, would leave every existing cache unread.
+# Every cache file of the cls and lm configs: victim checkpoints, store,
+# selections, retrained models and scores. Their names are the cache keys: a
+# change to a key, or to ``harness._docs_digest`` inside it, would leave every
+# existing cache unread.
 CACHE_NAMES = {
     "cls": [
-        "retrain-154a302822dc3557.ckpt",
-        "retrain-58ee9204e4355da3.ckpt",
-        "retrain-5f34e39574f5af41.ckpt",
-        "retrain-63d89dbf4b2ad26a.ckpt",
-        "retrain-6fee5f4ed34d7247.ckpt",
-        "retrain-9994e964f8c7729e.ckpt",
-        "retrain-ee654ae4e1defad6.ckpt",
-        "sel-02573ee54f403bb8.json",
-        "sel-73c8a64ac402c54e.json",
-        "sel-8ba825d430c403b2.json",
-        "sel-9d65f56c11ebff4d.json",
-        "sel-bd9b325f8563a6a1.json",
-        "sel-e8394e025068b760.json",
-        "sel-f809581a5412fd32.json",
-        "store-a3b1c954f207bb8a.selg",
+        "retrain-176cf31b690f6133.ckpt",
+        "retrain-84d4f01cc41c605b.ckpt",
+        "retrain-9246852ed63afcb6.ckpt",
+        "retrain-9e0647ab143ddaf5.ckpt",
+        "retrain-9edba40e648154ba.ckpt",
+        "retrain-c83faea3c2c989bd.ckpt",
+        "retrain-fb77bc508545a366.ckpt",
+        "score-223da52aafd82b6e.json",
+        "score-29b199991b377141.json",
+        "score-5e06bff1aaace524.json",
+        "score-6a01f4217ffc04dd.json",
+        "score-97911cb968355a33.json",
+        "score-a96c8ef39479a730.json",
+        "score-d05eb4452bf9f201.json",
+        "sel-1ace0acabca3331c.json",
+        "sel-1ef7bf9885720469.json",
+        "sel-424b8cec92e5a198.json",
+        "sel-45a6913c57712b2a.json",
+        "sel-4fd1314ce943a306.json",
+        "sel-ce6792474025468b.json",
+        "sel-fefd9fabf3c90a1f.json",
+        "store-9cc3d893aa3a3923.selg",
+        "victim-c724ff4d57cc8e9a.theta0.ckpt",
+        "victim-c724ff4d57cc8e9a.thetaf.ckpt",
     ],
     "lm": [
-        "retrain-07f9e18f900a2c12.ckpt",
-        "retrain-0fe81d9cb9e29d0e.ckpt",
-        "retrain-5f843aeb744ededd.ckpt",
-        "retrain-7df7ddcdee7e3744.ckpt",
-        "retrain-9d2e420ca342bc13.ckpt",
-        "sel-15cd0a5460794e97.json",
-        "sel-27f9a3fe99e5f773.json",
-        "sel-2a0c39bbf7003b9c.json",
-        "sel-445546f6817e3ab0.json",
-        "sel-dd49473003952b7e.json",
-        "sel-f4989a0442c80217.json",
-        "store-668da3c693df5e1c.selg",
+        "retrain-1124b6b98992c24e.ckpt",
+        "retrain-2bc2cf1b349551f5.ckpt",
+        "retrain-3aad86578f1a5252.ckpt",
+        "retrain-7cf64a3b509e2c6d.ckpt",
+        "retrain-bf1cdcbb58867439.ckpt",
+        "score-282a72af8fa11ad5.json",
+        "score-777a47c4c5477537.json",
+        "score-d8645f9bfc7d002d.json",
+        "score-f47315e7feefe95e.json",
+        "score-f59a4b7c49a9a207.json",
+        "sel-2dd8d62c11c5603d.json",
+        "sel-34fe83753ecef98a.json",
+        "sel-8dba47ff46145d5f.json",
+        "sel-a005773c8bba4283.json",
+        "sel-aca62afe4501db73.json",
+        "sel-bf9e0f00250053a1.json",
+        "store-95d802073eea9cc8.selg",
+        "victim-df2ecd6b17c3b64b.theta0.ckpt",
+        "victim-df2ecd6b17c3b64b.thetaf.ckpt",
     ],
 }
 
@@ -203,9 +220,7 @@ def test_cache_file_names_are_pinned(tmp_path, name):
     config = _config(name, tmp_path)
     assert not run_pipeline(config).provenance["errors"]
     cache = Workspace(config.out_dir).cache_dir
-    got = sorted(
-        p.name for pattern in ("retrain-*.ckpt", "sel-*.json", "store-*.selg") for p in cache.glob(pattern)
-    )
+    got = sorted(p.name for p in cache.iterdir() if not p.name.endswith(".tmp"))
     assert got == CACHE_NAMES[name]
 
 

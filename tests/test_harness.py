@@ -180,6 +180,13 @@ def drop_meta(path: Path) -> None:
         fh.write(tensors)
 
 
+def drop_ot(path: Path) -> None:
+    """Rewrite a score file without its OT result."""
+    data = json.loads(path.read_text())
+    del data["ot"]
+    path.write_text(json.dumps(data))
+
+
 # case -> (the cache files it damages, the kind the rebuild logs, the damage)
 CACHE_DEFECTS = {
     "store": ("store-*.selg", "store", halve),
@@ -190,6 +197,8 @@ CACHE_DEFECTS = {
     "retrain_without_meta": ("retrain-*.ckpt", "retrain", drop_meta),
     "theta0_without_meta": ("victim-*.theta0.ckpt", "victim", drop_meta),
     "thetaf_without_meta": ("victim-*.thetaf.ckpt", "victim", drop_meta),
+    "score": ("score-*.json", "score", halve),
+    "score_without_ot": ("score-*.json", "score", drop_ot),
 }
 
 KILLED = 77
@@ -481,13 +490,33 @@ class TestPipeline:
         assert not first.provenance["errors"]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a model was trained on a warm run")
+            raise AssertionError("a model was trained or a selection scored on a warm run")
 
         monkeypatch.setattr(metrics, "train", refuse)
         monkeypatch.setattr(harness, "train", refuse)
+        for name in ("recovery_ot", "vocab_containment", "token_set"):
+            monkeypatch.setattr(harness, name, refuse)
         second = run_pipeline(config)
         assert not second.provenance["errors"]
         assert second.rows == first.rows
+
+    def test_every_cache_kind_has_a_defect_case(self, tmp_path):
+        config = base_config(tmp_path, methods=["select", "random", "expert"], seeds=[0])
+        assert not run_pipeline(config).provenance["errors"]
+        cache = Workspace(config.out_dir).cache_dir
+        # The kind Workspace.load logs: the file name up to the first "-".
+        written = {p.name.split("-")[0] for p in cache.iterdir() if not p.name.endswith(".tmp")}
+        assert written == {kind for _, kind, _ in CACHE_DEFECTS.values()}
+
+    def test_changed_ot_max_points_rescores_in_one_out_dir(self, tmp_path):
+        config = base_config(tmp_path, methods=["select", "random", "expert"], seeds=[0])
+        first = run_pipeline(config)
+        changed = replace(config, ot_max_points=8)
+        second = run_pipeline(changed)
+        fresh = run_pipeline(replace(changed, out_dir=str(tmp_path / "fresh")))
+        assert not any(b.provenance["errors"] for b in (first, second, fresh))
+        assert second.rows == fresh.rows
+        assert second.rows != first.rows
 
     @pytest.mark.parametrize("kind", ["pipeline", "scaling"])
     def test_parallel_matches_serial(self, tmp_path, kind):
@@ -1080,8 +1109,50 @@ def test_docs_digest_is_pinned():
             Document(9, "x", None),
         ]
     )
-    assert harness._docs_digest(docs) == "115eefd1a5b81085"
-    assert harness._docs_digest(DocumentSet([])) == "e3b0c44298fc1c14"
+    assert harness._docs_digest(docs) == "3163496e9d7c4149"
+    assert harness._docs_digest(DocumentSet([])) == "4f53cda18c2baa0c"
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([("ab", None), ("c", None)], [("abNonec", None)]),
+        ([("x", 1), ("y", 2)], [("x1y", 2)]),
+    ],
+)
+def test_docs_digest_tells_lists_with_equal_concatenations_apart(a, b):
+    docs = [DocumentSet(Document(i, t, y) for i, (t, y) in enumerate(d)) for d in (a, b)]
+    assert harness._docs_digest(docs[0]) != harness._docs_digest(docs[1])
+
+
+SCORE = {
+    "vocab_containment": 0.5,
+    "ot": {"distance": 1.0, "mode": "exact", "epsilon": None, "iterations": 0, "converged": True},
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [SCORE],
+        {**SCORE, "extra": 1},
+        {**SCORE, "vocab_containment": 1},
+        {**SCORE, "ot": [1.0]},
+        {**SCORE, "ot": {**SCORE["ot"], "iterations": True}},
+        {**SCORE, "ot": {**SCORE["ot"], "converged": 1}},
+        {**SCORE, "ot": {**SCORE["ot"], "epsilon": "0.05"}},
+        {**SCORE, "ot": {k: v for k, v in SCORE["ot"].items() if k != "mode"}},
+    ],
+)
+def test_malformed_score_file_is_rebuilt_not_raised(tmp_path, caplog, data):
+    workspace = Workspace(tmp_path)
+    path = workspace.path("score-0.json")
+    path.write_text(json.dumps(SCORE))
+    assert workspace.load(path, harness._read_score) == (0.5, metrics.OTResult(**SCORE["ot"]))
+    path.write_text(json.dumps(data))
+    with caplog.at_level("WARNING", logger="gradselect.harness"):
+        assert workspace.load(path, harness._read_score) is None
+    assert "rebuilding unusable cached score: " in caplog.text
 
 
 def test_reference_side_scored_once_per_cell(tmp_path, monkeypatch):
@@ -1120,7 +1191,7 @@ class TestCLI:
             assert report[key] == row[key], key
         assert report["ot"]["distance"] == row["ot_distance"]
 
-    def test_stages_match_the_runner(self, tmp_path):
+    def test_stages_match_the_runner(self, tmp_path, monkeypatch):
         methods = ["select", "random", "expert"]
         path, config = self._config_file(tmp_path, methods=methods)
         for stage in ("select", "metrics"):
@@ -1128,6 +1199,11 @@ class TestCLI:
         fresh = replace(config, out_dir=str(tmp_path / "experiment"))
         rows = {r["method"]: r for r in run_experiment(fresh).rows}
         out = tmp_path / "run"
+        # A second metrics run reads every score from the cache, byte for byte.
+        reports = {m: (out / "reports" / f"{m}.json").read_bytes() for m in methods}
+        monkeypatch.setattr(harness, "recovery_ot", None)
+        assert cli_main(["metrics", "--config", str(path), "--method", "all"]) == 0
+        assert {m: (out / "reports" / f"{m}.json").read_bytes() for m in methods} == reports
         for method in methods:
             report = json.loads((out / "reports" / f"{method}.json").read_text())
             for key in ("accuracy", "mean_loss", "perplexity", "vocab_containment"):

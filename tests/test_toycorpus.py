@@ -133,8 +133,14 @@ def test_every_topic_is_one_class(make):
     assert len(make(40, NUM_TOPICS, seed=0)) == 40
 
 
-def test_gen_corpus_rejects_a_ninth_class(tmp_path):
+def test_gen_corpus_rejects_a_ninth_class(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
-    with pytest.raises(ValueError, match="num_classes"):
+    with pytest.raises(SystemExit) as exit_info:
         cli_main(["gen-corpus", "--kind", "classification", "--out", str(out), "--classes", "9"])
+    # A usage error: exit status 2, the usage line and the message, no traceback.
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradselect gen-corpus")
+    assert "gen-corpus: error: num_classes must be in [1, 8]" in err
+    assert "Traceback" not in err
     assert not out.exists()
