@@ -2,14 +2,15 @@
 
 The stage commands (train-victim, autolabel, build-store, select, retrain,
 metrics) are the steps of one chain on the config's first seed: prepare_run
-(split, vocabulary, victim), build_candidate_pool, autolabel, gradient_stage
-(store), select_methods, then retraining or scoring the selections. The chain
-autolabels the pool only to build the store; later commands read the
-pseudolabels from its aux block. One function, ``cmd_stage``, runs the chain
-up to the named stage and writes that stage's artifacts under the config's
-out_dir. Run in sequence, each command re-runs the prefix before it, which the
-content-addressed cache turns into reads of the victim, store, selections,
-retrained models and scores that earlier commands wrote: ``train-victim`` and
+(victim; the split and vocabulary are read when a stage needs them),
+build_candidate_pool, autolabel, gradient_stage (store), select_methods, then
+retraining or scoring the selections. The chain autolabels the pool only to
+build the store; later commands read the pseudolabels from its aux block. One
+function, ``cmd_stage``, runs the chain up to the named stage and writes that
+stage's artifacts under the config's out_dir. Run in sequence, each command
+re-runs the prefix before it, which the cache, keyed by the inputs' names,
+turns into reads of the victim, store, selections, retrained models and
+scores that earlier commands wrote: ``train-victim`` and
 ``retrain`` copy the cached checkpoints out, one file per model with its meta
 in the header, and ``metrics`` reads the retrained models' metrics instead of
 training again and each selection's cached scores instead of scoring again
@@ -122,13 +123,14 @@ def cmd_stage(args) -> int:
         return 0
     pool = harness.build_candidate_pool(config, ctx)
     if stage == "autolabel":
-        _, labels = harness.autolabel_pool(config, ctx, pool)
+        docs = pool.docs
+        _, labels = harness.autolabel_pool(config, ctx, docs)
         if labels is None:
-            save_jsonl(pool, out / "autolabeled.jsonl")
-            print(f"next-token task: pool of {len(pool)} passes through unlabeled")
+            save_jsonl(docs, out / "autolabeled.jsonl")
+            print(f"next-token task: pool of {len(docs)} passes through unlabeled")
         else:
-            save_jsonl(pool.with_labels(labels), out / "autolabeled.jsonl")
-            print(f"autolabeled {len(pool)} documents -> {out / 'autolabeled.jsonl'}")
+            save_jsonl(docs.with_labels(labels), out / "autolabeled.jsonl")
+            print(f"autolabeled {len(docs)} documents -> {out / 'autolabeled.jsonl'}")
         return 0
     artifacts = harness.gradient_stage(config, ctx, pool, workspace)
     store = artifacts.store
@@ -153,12 +155,12 @@ def cmd_stage(args) -> int:
             write_selection(
                 result, path, config.num_checkpoints, config.projection_dim, [ctx.run_seed]
             )
-            save_jsonl(docs, out / "selections" / f"{method}_docs.jsonl")
+            save_jsonl(docs.docs, out / "selections" / f"{method}_docs.jsonl")
             print(f"{method}: {len(result.indices)} documents selected")
         return 0
     # Every method selects first, so the retrains run in lockstep.
     retrained = harness.retrain_selections(config, ctx, [docs for _, docs, _ in chosen], workspace)
-    reference = harness.Reference(ctx.train_docs) if stage == "metrics" else None
+    reference = harness.Reference(ctx) if stage == "metrics" else None
     for (method, docs, _), (cached, metrics) in zip(chosen, retrained):
         if stage == "retrain":
             shutil.copyfile(cached, out / "retrained" / f"{method}.ckpt")

@@ -138,10 +138,16 @@ class SeedPool:
 
 
 class Vocab:
-    """Frequency-ranked token vocabulary with reserved padding/unknown ids."""
+    """Frequency-ranked token vocabulary with reserved padding/unknown ids.
 
-    def __init__(self, tokens: Sequence[str]):
+    ``corpus_tokens`` is every token of the documents ``build_vocab`` counted,
+    kept or not (their ``metrics.token_set``); None for a vocabulary built
+    from a token list.
+    """
+
+    def __init__(self, tokens: Sequence[str], corpus_tokens: frozenset[str] | None = None):
         self._tokens = list(tokens)
+        self.corpus_tokens = corpus_tokens
         self._index = {t: i + NUM_RESERVED for i, t in enumerate(self._tokens)}
 
     @property
@@ -301,7 +307,9 @@ def save_jsonl(docs: DocumentSet, path: str | Path) -> None:
 def build_vocab(docs: DocumentSet, max_size: int) -> Vocab:
     """Keep the top (max_size - 2) tokens by frequency, ties broken lexically.
 
-    Construction is deterministic and independent of document order.
+    Construction is deterministic and independent of document order. The
+    vocabulary's ``corpus_tokens`` keeps every token counted, so the
+    documents' token set needs no second tokenizing pass.
     """
     if max_size < NUM_RESERVED + 1:
         raise ValueError(f"max_size must be at least {NUM_RESERVED + 1}")
@@ -310,7 +318,7 @@ def build_vocab(docs: DocumentSet, max_size: int) -> Vocab:
         counts.update(split_tokens(d.text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [t for t, _ in ranked[: max_size - NUM_RESERVED]]
-    return Vocab(kept)
+    return Vocab(kept, frozenset(counts))
 
 
 def encode_documents(docs: DocumentSet, vocab: Vocab, s: int) -> TokenBatch:

@@ -22,19 +22,28 @@ One job per seed runs every cell of that seed; a failing cell lands in
 ``provenance.errors`` and the other cells still run. ``run_experiment`` runs
 the seed jobs, ``parallel`` at a time, and orders rows by (cell, method,
 seed). Stage artifacts (checkpoints, stores, selections, the models
-retrained on them and their scores) are content-addressed under
-``<out_dir>/cache`` and keyed by the run seed, so cells of one seed reuse
-shared upstream work, two seed jobs never write the same file, and a warm run
-trains nothing.
+retrained on them and their scores) are cached under ``<out_dir>/cache``
+and keyed by the run seed, so cells of one seed reuse shared upstream work,
+two seed jobs never write the same file, and a warm run trains nothing.
 
-A warm run (every stage a cache hit) trains, autolabels, builds, selects
-and scores nothing, and generates no sketch signs: only a fresh selection
-computes the directions. Per cell it still reads and splits the corpus,
-builds the vocabulary, reads the pool (each document set built once), hashes
-the pool and the selections for their cache keys, and reads the cached
-selections, the retrained models' metrics and each selection's scores. The
-reference set is neither tokenized nor embedded: ``Reference`` computes both
-on first read, which only a score that misses makes.
+Every key names the stage's inputs, never their parsed contents: the
+config's settings, the digests of the corpus files, and the keys of the
+upstream artifacts. The victim is named by the task file's digest and the
+settings that split it and build the vocabulary; the pool by the seed
+corpus file's digest, or for the seed split by the victim's key; a
+selection's documents by the pool's key and the selected indices, whose
+pseudolabels the victim fixes. So a cell names every cache file before it
+reads a corpus, and ``RunContext`` and ``KeyedDocs`` parse the JSONL files,
+split the task corpus and build the vocabulary only when a stage misses and
+needs them. The training split (the ``expert`` method's selection) and a
+leakage pool, which mixes training documents in, are named by their
+content, so a cell that uses them parses the task corpus.
+
+A warm run (every stage a cache hit) parses, trains, autolabels, builds,
+selects and scores nothing, and generates no sketch signs: only a fresh
+selection computes the directions. Per cell it hashes the corpus files, and
+reads the victim's checkpoints, the store's header, the cached selections,
+the retrained models' metrics and each selection's scores.
 
 Every cache file is written through ``corpus.atomic_write`` (a temporary file
 of the writer's own, renamed into place), so a process killed at any point
@@ -82,7 +91,6 @@ from .metrics import (
     embed,
     ot_distance,
     retrain_and_eval,
-    token_set,
     vocab_containment,
 )
 from .model import (
@@ -365,19 +373,86 @@ def carve_validation(
     return docs.subset(perm[n_val:]), docs.subset(perm[:n_val])
 
 
-@dataclass
-class RunContext:
-    """Per-(config, seed) artifacts shared by every selection method."""
+@dataclass(frozen=True)
+class RunInputs:
+    """The task corpus split for one seed, and the vocabulary of its training part."""
 
-    run_seed: int
-    vocab: Vocab
     train_docs: DocumentSet
     validation_docs: DocumentSet
     test_docs: DocumentSet
     seed_split: DocumentSet
+    vocab: Vocab
+
+
+def _read_run_inputs(config: ExperimentConfig, run_seed: int) -> RunInputs:
+    """Parse the task corpus, split it, carve the validation set and build the vocabulary."""
+    corpus_docs = _stage("load-corpus", load_jsonl, config.corpus)
+    train_all, seed_split, test_docs = _stage(
+        "split", split, corpus_docs, tuple(config.fractions), run_seed
+    )
+    train_docs, validation_docs = _stage(
+        "split", carve_validation, train_all, config.validation_fraction, run_seed
+    )
+    vocab = _stage("vocab", build_vocab, train_docs, config.vocab_max_size)
+    return RunInputs(train_docs, validation_docs, test_docs, seed_split, vocab)
+
+
+def _run_input(name: str) -> property:
+    return property(lambda ctx: getattr(ctx.inputs, name), doc=f"``RunInputs.{name}``.")
+
+
+@dataclass
+class RunContext:
+    """Per-(config, seed) artifacts shared by every selection method.
+
+    The victim's key and checkpoints, and the seed split's size its meta
+    records, are read when the context is made. The run inputs
+    (``train_docs``, ``validation_docs``, ``test_docs``, ``seed_split`` and
+    ``vocab``) are read by ``_read_run_inputs`` on the first access to any of
+    them, which only a stage that misses the cache makes.
+    """
+
+    config: ExperimentConfig = field(repr=False)
+    run_seed: int
+    victim_key: str
     theta0: ModelParams
     theta_f: ModelParams
-    victim_key: str
+    seed_split_size: int
+    _inputs: RunInputs | None = field(default=None, repr=False)
+
+    @property
+    def inputs(self) -> RunInputs:
+        if self._inputs is None:
+            self._inputs = _read_run_inputs(self.config, self.run_seed)
+        return self._inputs
+
+    train_docs = _run_input("train_docs")
+    validation_docs = _run_input("validation_docs")
+    test_docs = _run_input("test_docs")
+    seed_split = _run_input("seed_split")
+    vocab = _run_input("vocab")
+
+
+class KeyedDocs:
+    """A document set named by ``key``, a digest known before the documents are read.
+
+    ``docs`` reads them (``read``) on first access and keeps them. ``size``
+    is their count when it is known without reading them, else None.
+    """
+
+    def __init__(self, key: str, read: Callable[[], DocumentSet], size: int | None = None):
+        self.key = key
+        self.size = size
+        self._read = read
+
+    @cached_property
+    def docs(self) -> DocumentSet:
+        return self._read()
+
+    @classmethod
+    def of(cls, docs: DocumentSet) -> "KeyedDocs":
+        """Documents at hand, named by their content (``_docs_digest``)."""
+        return cls(_docs_digest(docs), lambda: docs, len(docs))
 
 
 class Workspace:
@@ -417,37 +492,33 @@ def _stage(name: str, fn: Callable, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def model_config_for(config: ExperimentConfig, vocab: Vocab) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab.size,
-        embed_dim=int(config.model.get("embed_dim", 32)),
-        num_classes=int(config.model.get("num_classes", 2)),
-        hidden_layer=bool(config.model.get("hidden_layer", False)),
-        task=config.task,
-    )
+def _model_fields(config: ExperimentConfig) -> dict:
+    """The config's ``ModelConfig`` fields: all but the vocabulary size, which the corpus sets."""
+    return {
+        "embed_dim": int(config.model.get("embed_dim", 32)),
+        "num_classes": int(config.model.get("num_classes", 2)),
+        "hidden_layer": bool(config.model.get("hidden_layer", False)),
+        "task": config.task,
+    }
 
 
-def _victim_params(path: Path) -> ModelParams:
-    """A cached victim checkpoint; KeyError for the older format, whose header has no meta."""
+def _victim_params(path: Path) -> tuple[ModelParams, int]:
+    """A cached victim checkpoint and the seed split size its meta records;
+    KeyError for a header without them (the older formats)."""
     params, header = read_checkpoint(path)
-    if "meta" not in header:
-        raise KeyError("meta")
-    return params
+    return params, int(header["meta"]["seed_split_size"])
 
 
 def prepare_run(
     config: ExperimentConfig, run_seed: int, workspace: Workspace
 ) -> RunContext:
-    """Split, build vocab and train (or reuse) the victim for one seed."""
-    corpus_docs = _stage("load-corpus", load_jsonl, config.corpus)
-    train_all, seed_split, test_docs = _stage(
-        "split", split, corpus_docs, tuple(config.fractions), run_seed
-    )
-    train_docs, validation_docs = _stage(
-        "split", carve_validation, train_all, config.validation_fraction, run_seed
-    )
-    vocab = _stage("vocab", build_vocab, train_docs, config.vocab_max_size)
-    model_cfg = model_config_for(config, vocab)
+    """Train (or reuse) the victim for one seed; the run inputs follow on first read.
+
+    The victim's key names the task file (its digest), the settings that
+    split it and build the vocabulary, which fix the vocabulary size, and the
+    model and optimizer settings, so a hit reads no corpus. A miss reads the
+    run inputs to train, and the context keeps them.
+    """
     victim_key = _digest(
         [
             "victim",
@@ -456,7 +527,7 @@ def prepare_run(
             config.validation_fraction,
             config.vocab_max_size,
             config.seq_len,
-            model_cfg.to_dict(),
+            _model_fields(config),
             config.victim_opt.to_dict(),
             run_seed,
         ]
@@ -465,47 +536,55 @@ def prepare_run(
     thetaf_path = workspace.victim_checkpoint(victim_key, "thetaf")
     # Looked up under thetaf, which is written last.
     victim = workspace.load(
-        thetaf_path, lambda p: (_victim_params(theta0_path), _victim_params(p))
+        thetaf_path, lambda p: (_victim_params(theta0_path)[0], *_victim_params(p))
     )
+    inputs = None
     if victim is None:
+        inputs = _read_run_inputs(config, run_seed)
+        model_cfg = ModelConfig(vocab_size=inputs.vocab.size, **_model_fields(config))
         theta0 = init_params(model_cfg, run_seed)
         theta_f, _ = _stage(
             "train-victim",
             train,
             theta0,
-            train_docs,
+            inputs.train_docs,
             config.victim_opt,
-            vocab,
+            inputs.vocab,
             config.seq_len,
-            validation_docs,
+            inputs.validation_docs,
         )
+        seed_split_size = len(inputs.seed_split)
         meta = {
             "optimizer": config.victim_opt.kind,
             "seed": config.victim_opt.seed,
             "epochs": config.victim_opt.epochs,
+            "seed_split_size": seed_split_size,
         }
         save_checkpoint(theta0, theta0_path, meta)
         save_checkpoint(theta_f, thetaf_path, meta)
     else:
-        theta0, theta_f = victim
-    return RunContext(
-        run_seed=run_seed,
-        vocab=vocab,
-        train_docs=train_docs,
-        validation_docs=validation_docs,
-        test_docs=test_docs,
-        seed_split=seed_split,
-        theta0=theta0,
-        theta_f=theta_f,
-        victim_key=victim_key,
-    )
+        theta0, theta_f, seed_split_size = victim
+    return RunContext(config, run_seed, victim_key, theta0, theta_f, seed_split_size, inputs)
 
 
-def build_candidate_pool(config: ExperimentConfig, ctx: RunContext) -> DocumentSet:
-    """The seed corpus file, else the seed split, unlabeled, ids reassigned to pool positions."""
+def build_candidate_pool(config: ExperimentConfig, ctx: RunContext) -> KeyedDocs:
+    """The seed corpus file, else the seed split, unlabeled, ids reassigned to pool positions.
+
+    The pool's key is known before its documents are read: the file's
+    digest, or for the seed split a digest of the victim's key, which names
+    the task file, the fractions and the run seed. So is the seed split's
+    size, from the victim's meta. The documents are read on first access.
+    """
     if config.seed_corpus:
-        return _stage("load-pool", load_jsonl, config.seed_corpus).unlabeled()
-    return ctx.seed_split.unlabeled()
+        path = config.seed_corpus
+        return KeyedDocs(
+            _file_digest(path), lambda: _stage("load-pool", load_jsonl, path).unlabeled()
+        )
+    return KeyedDocs(
+        _digest(["seed-split", ctx.victim_key]),
+        lambda: ctx.seed_split.unlabeled(),
+        ctx.seed_split_size,
+    )
 
 
 def autolabel_pool(
@@ -538,13 +617,17 @@ class GradientArtifacts:
 def gradient_stage(
     config: ExperimentConfig,
     ctx: RunContext,
-    pool: DocumentSet,
+    pool: KeyedDocs,
     workspace: Workspace,
 ) -> GradientArtifacts:
     """Build (or reuse) the pool's store; the directions follow on first read.
 
-    The pool is encoded and autolabeled only to build the store; after that
-    its pseudolabels are read back from the store's aux block.
+    The store is keyed by the victim and the pool's key, so a hit reads no
+    corpus. The pool is read, encoded and autolabeled only to build the
+    store; after that its pseudolabels are read back from the store's aux
+    block. A hit is checked against the pool's size when that is known
+    without reading the pool (the seed split's); a seed corpus file's store
+    is named by the file's digest.
 
     The directions are computed on first read, with the Projection a store
     build used: the projected last-layer diffs oriented from the final model
@@ -566,7 +649,7 @@ def gradient_stage(
         [
             "store",
             ctx.victim_key,
-            _docs_digest(pool),
+            pool.key,
             config.num_checkpoints,
             k,
             proj.seed,
@@ -587,15 +670,15 @@ def gradient_stage(
         if cached.header.get("final_fingerprint") != ctx.theta_f.fingerprint():
             raise ValueError("cached store was built from other checkpoints (final model)")
         # The store is the only record of the pool's pseudolabels.
-        if cached.num_examples != len(pool):
-            raise ValueError(f"cached store has {cached.num_examples} rows, pool {len(pool)}")
+        if pool.size is not None and cached.num_examples != pool.size:
+            raise ValueError(f"cached store has {cached.num_examples} rows, pool {pool.size}")
         if model_cfg.task == TASK_CLASSIFICATION and not cached.has_labels:
             raise ValueError("cached classification store has no pseudolabels")
         return cached
 
     store = workspace.load(store_path, read)
     if store is None:
-        batch, pseudolabels = autolabel_pool(config, ctx, pool)
+        batch, pseudolabels = autolabel_pool(config, ctx, pool.docs)
         store = _stage(
             "build-store",
             build_store,
@@ -662,42 +745,60 @@ def run_selection(
 def select_methods(
     config: ExperimentConfig,
     ctx: RunContext,
-    pool: DocumentSet,
+    pool: KeyedDocs,
     artifacts: GradientArtifacts,
     methods: Sequence[str],
     workspace: Workspace,
-) -> list[tuple[str, DocumentSet, SelectionResult | None]]:
+) -> list[tuple[str, KeyedDocs, SelectionResult | None]]:
     """(method, selected documents, selection) for each method, in order.
 
-    The selected pool documents carry their pseudolabels from the store when
-    it has them. ``expert`` selects nothing: it gets the training set and no
-    selection, so it is retrained and scored on the hidden set itself.
+    The selected documents are named by the pool's key and the selected
+    indices (``_selected_docs``) and read only on first access. They carry
+    their pseudolabels from the store when it has them. ``expert`` selects
+    nothing: it gets the training set and no selection, so it is retrained
+    and scored on the hidden set itself.
     """
     chosen = []
     for method in methods:
         if method == "expert":
-            chosen.append((method, ctx.train_docs, None))
+            chosen.append((method, KeyedDocs.of(ctx.train_docs), None))
             continue
         result = _stage("select", run_selection, config, ctx, artifacts, method, workspace)
-        docs = pool.subset(result.indices)
-        if artifacts.store.has_labels:
-            docs = docs.with_labels(artifacts.store.pseudolabels[list(result.indices)])
-        chosen.append((method, docs, result))
+        chosen.append((method, _selected_docs(pool, artifacts.store, result.indices), result))
     return chosen
+
+
+def _selected_docs(pool: KeyedDocs, store: GradientStore, indices: Sequence[int]) -> KeyedDocs:
+    """The pool documents at ``indices``, with the store's pseudolabels when it has them.
+
+    Named by the pool's key and the indices: the victim, which every key
+    that names a selection's documents also holds, fixes the pseudolabels.
+    """
+
+    def read() -> DocumentSet:
+        docs = pool.docs.subset(indices)
+        if store.has_labels:
+            docs = docs.with_labels(store.pseudolabels[list(indices)])
+        return docs
+
+    return KeyedDocs(_digest(["selected", pool.key, list(indices)]), read, len(indices))
 
 
 def retrain_selections(
     config: ExperimentConfig,
     ctx: RunContext,
-    selections: Sequence[DocumentSet],
+    selections: Sequence[KeyedDocs],
     workspace: Workspace,
 ) -> list[tuple[Path, EvalMetrics]]:
     """The cached model retrained from theta0 on each selection, and its test metrics.
 
     Each model is keyed by the victim (theta0, vocabulary, seq_len, validation
-    and test sets), the selected texts and labels in order, and the retrain
-    optimizer. The metrics are the meta in the checkpoint's header, so a hit
-    reads one header and trains nothing, and equal selections train once.
+    and test sets, pseudolabels), the selection's key and the retrain
+    optimizer. A selection's key names the pool and the selected indices
+    (the training split's, for ``expert``, names its content). The metrics
+    are the meta in the checkpoint's header, so a hit reads one header,
+    reads no document and trains nothing, and equal index lists into one
+    pool train once.
 
     The misses train in lockstep. For classification, the misses of one size
     are stacked into one ``retrain_and_eval`` call, in which each model sees
@@ -711,9 +812,7 @@ def retrain_selections(
     found: dict[Path, EvalMetrics | None] = {}
     groups: dict[Any, dict[Path, DocumentSet]] = {}
     for selected in selections:
-        key = _digest(
-            ["retrain", ctx.victim_key, _docs_digest(selected), config.retrain_opt.to_dict()]
-        )
+        key = _digest(["retrain", ctx.victim_key, selected.key, config.retrain_opt.to_dict()])
         path = workspace.path(f"retrain-{key}.ckpt")
         paths.append(path)
         if path in found:
@@ -722,7 +821,8 @@ def retrain_selections(
             path, lambda p: EvalMetrics(**checkpoint_header(p)[0]["meta"])
         )
         if found[path] is None:
-            groups.setdefault(len(selected) if lockstep else key, {})[path] = selected
+            docs = selected.docs
+            groups.setdefault(len(docs) if lockstep else key, {})[path] = docs
     for group in groups.values():
         docs = [d for selected in group.values() for d in selected]
         models, metrics = _stage(
@@ -738,21 +838,26 @@ def retrain_selections(
 
 @dataclass
 class Reference:
-    """The set a cell's selections are scored against, with what scoring reads of it.
+    """The set a cell's selections are scored against, the run's training split,
+    with what scoring reads of it.
 
-    Both are computed on first read and kept for the cell, so a cell whose
-    scores all hit the cache tokenizes and embeds nothing: ``tokens``, its
-    token set, and ``embedded``, the embedding of the OT subsample
-    ``recovery_ot`` draws from it, kept per selection size (the subsample
-    depends on nothing else within one cell).
+    Nothing is read before a score misses: ``docs`` and ``tokens`` (its token
+    set, which ``build_vocab`` kept, so the split is tokenized once) come
+    from the run inputs, and ``embedded``, the embedding of the OT subsample
+    ``recovery_ot`` draws from it, is filled on demand and kept per
+    selection size (the subsample depends on nothing else within one cell).
     """
 
-    docs: DocumentSet
+    ctx: RunContext
     embedded: dict[int, EmbeddingSet] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @property
+    def docs(self) -> DocumentSet:
+        return self.ctx.train_docs
+
+    @property
     def tokens(self) -> frozenset[str]:
-        return token_set(self.docs)
+        return self.ctx.vocab.corpus_tokens
 
 
 # The fields of a score file's "ot" object, each with the types JSON gives it.
@@ -785,7 +890,7 @@ def _read_score(path: Path) -> tuple[float, OTResult]:
 def score_selection(
     config: ExperimentConfig,
     ctx: RunContext,
-    selected: DocumentSet,
+    selected: KeyedDocs,
     reference: Reference,
     eval_metrics: EvalMetrics,
     workspace: Workspace,
@@ -794,17 +899,19 @@ def score_selection(
 
     The scores are cached as ``score-<key>.json``, keyed by the victim (the
     reference set, theta0's embedding table, the vocabulary, seq_len and the
-    run seed that draws the OT subsamples), the selected texts and labels in
-    order (the subsample is drawn by position) and ``ot_max_points``. The
-    file holds ``vocab_containment`` and every ``OTResult`` field, so a hit
-    gives the report a miss gives.
+    run seed that draws the OT subsamples), the selection's key (the pool
+    and the indices in order, since the subsample is drawn by position) and
+    ``ot_max_points``. A hit reads no document. The file holds
+    ``vocab_containment`` and every ``OTResult`` field, so a hit gives the
+    report a miss gives.
     """
-    key = _digest(["score", ctx.victim_key, _docs_digest(selected), config.ot_max_points])
+    key = _digest(["score", ctx.victim_key, selected.key, config.ot_max_points])
     path = workspace.path(f"score-{key}.json")
     scores = workspace.load(path, _read_score)
     if scores is None:
-        containment = _stage("metrics", vocab_containment, selected, reference.tokens)
-        ot = _stage("metrics", recovery_ot, config, ctx, selected, reference)
+        docs = selected.docs
+        containment = _stage("metrics", vocab_containment, docs, reference.tokens)
+        ot = _stage("metrics", recovery_ot, config, ctx, docs, reference)
         data = {"vocab_containment": containment, "ot": asdict(ot)}
         with atomic_write(path) as fh:
             fh.write(json.dumps(data, sort_keys=True).encode())
@@ -932,8 +1039,11 @@ def _optimizer_fields(role: str, opt: OptimizerConfig, override: dict) -> dict:
 
 
 def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
-    """pool -> size check -> gradient_stage -> select_methods ->
+    """pool -> gradient_stage -> size check -> select_methods ->
     retrain_selections -> score_selection (cached) for every method -> rows.
+
+    The size check reads the pool's size from the store, so a warm cell
+    reads no pool.
 
     A leakage cell mixes ``leak_pool_size`` documents from the training set
     and the candidate pool. Every method selects before any model trains, so
@@ -945,23 +1055,28 @@ def _cell_rows(cell: Cell, ctx: RunContext, workspace: Workspace) -> list[dict]:
     if leak_fraction is not None:
         size = int(config.params.get("leak_pool_size") or 1000)
         mix_seed = ctx.run_seed + int(leak_fraction * 1000)
-        seed_pool = _stage("pool", mix_leakage, ctx.train_docs, pool, leak_fraction, size, mix_seed)
-        pool = seed_pool.documents
-    if config.selection_size > len(pool):
-        error = f"selection_size {config.selection_size} exceeds pool size {len(pool)}"
-        raise StageError("pool", ValueError(error))
+        seed_pool = _stage(
+            "pool", mix_leakage, ctx.train_docs, pool.docs, leak_fraction, size, mix_seed
+        )
+        pool = KeyedDocs.of(seed_pool.documents)
     artifacts = gradient_stage(config, ctx, pool, workspace)
+    pool_size = artifacts.store.num_examples
+    if config.selection_size > pool_size:
+        error = f"selection_size {config.selection_size} exceeds pool size {pool_size}"
+        raise StageError("pool", ValueError(error))
     chosen = select_methods(config, ctx, pool, artifacts, cell.methods, workspace)
-    reference = Reference(ctx.train_docs)
+    reference = Reference(ctx)
     if config.experiment == "metric_ablation":
         return [
-            row for _, docs, _ in chosen for row in _replace_trial_rows(config, ctx, docs, reference)
+            row
+            for _, selected, _ in chosen
+            for row in _replace_trial_rows(config, ctx, selected.docs, reference)
         ]
     retrained = retrain_selections(config, ctx, [selected for _, selected, _ in chosen], workspace)
     rows = []
     for (method, selected, result), (_, eval_metrics) in zip(chosen, retrained):
         report = score_selection(config, ctx, selected, reference, eval_metrics, workspace)
-        row = {**_method_row(config, ctx, method, report, len(selected)), **cell.fields}
+        row = {**_method_row(config, ctx, method, report, selected.size), **cell.fields}
         if leak_fraction is not None:
             row["leaked_selected"] = int(seed_pool.leak_mask[list(result.indices)].sum())
         rows.append(row)

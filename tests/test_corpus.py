@@ -17,7 +17,9 @@ from gradselect.corpus import (
     save_jsonl,
     split,
     split_tokens,
+    Vocab,
 )
+from gradselect.metrics import token_set
 from gradselect.toycorpus import (
     make_classification_corpus,
     make_lm_corpus,
@@ -234,6 +236,13 @@ class TestBuildVocab:
     def test_unknown_maps_to_unk(self, make_docs):
         vocab = build_vocab(make_docs(["a b"]), 10)
         assert vocab.index("zzz") == 1
+
+    def test_keeps_every_counted_token(self, make_docs):
+        docs = make_docs(["Red, green!", "green blue", "blue blue red"])
+        vocab = build_vocab(docs, 4)
+        assert vocab.tokens == ["blue", "green"]
+        assert vocab.corpus_tokens == token_set(docs)
+        assert Vocab(vocab.tokens).corpus_tokens is None
 
 
 class TestTokenize:

@@ -24,6 +24,9 @@ method, followed by its cell's grid fields when the cell has any
   product: 7e-7 relative was seen on a score 1/100 of the largest, 4e-8 on
   the greedy objectives. Its indices and rows stay exact.
 
+``test_grid_equals_its_cells`` checks, at the ``cls`` sizes, that every
+experiment kind's grid gives each cell what that cell gives alone.
+
 A refactor must pass this gate with no golden file edited. A change that moves
 the output on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says in CHANGES.md why.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -161,56 +165,56 @@ def test_matches_golden(tmp_path, name):
 
 
 # Every cache file of the cls and lm configs: victim checkpoints, store,
-# selections, retrained models and scores. Their names are the cache keys: a
-# change to a key, or to ``harness._docs_digest`` inside it, would leave every
-# existing cache unread.
+# selections, retrained models and scores. Their names are the cache keys,
+# which name the inputs (file digests, settings, upstream keys, selected
+# indices): a change to a key would leave every existing cache unread.
 CACHE_NAMES = {
     "cls": [
-        "retrain-176cf31b690f6133.ckpt",
-        "retrain-84d4f01cc41c605b.ckpt",
-        "retrain-9246852ed63afcb6.ckpt",
-        "retrain-9e0647ab143ddaf5.ckpt",
-        "retrain-9edba40e648154ba.ckpt",
-        "retrain-c83faea3c2c989bd.ckpt",
-        "retrain-fb77bc508545a366.ckpt",
-        "score-223da52aafd82b6e.json",
-        "score-29b199991b377141.json",
-        "score-5e06bff1aaace524.json",
-        "score-6a01f4217ffc04dd.json",
-        "score-97911cb968355a33.json",
-        "score-a96c8ef39479a730.json",
-        "score-d05eb4452bf9f201.json",
-        "sel-1ace0acabca3331c.json",
-        "sel-1ef7bf9885720469.json",
-        "sel-424b8cec92e5a198.json",
-        "sel-45a6913c57712b2a.json",
-        "sel-4fd1314ce943a306.json",
-        "sel-ce6792474025468b.json",
-        "sel-fefd9fabf3c90a1f.json",
-        "store-9cc3d893aa3a3923.selg",
-        "victim-c724ff4d57cc8e9a.theta0.ckpt",
-        "victim-c724ff4d57cc8e9a.thetaf.ckpt",
+        "retrain-01177078155fdb95.ckpt",
+        "retrain-090b8406e61b3f82.ckpt",
+        "retrain-17e1ace80bfda8ca.ckpt",
+        "retrain-2985a083b7565b78.ckpt",
+        "retrain-afe3569270a77353.ckpt",
+        "retrain-b0fac8e6d98b3461.ckpt",
+        "retrain-dd1c4429bd62b1f6.ckpt",
+        "score-0df2372b62e6ffeb.json",
+        "score-463e8f1e7fdfbce7.json",
+        "score-4ca5e72edddbdcc0.json",
+        "score-54cca1a97f3999db.json",
+        "score-a476dce218c51c46.json",
+        "score-cf3c8e0d88d51eba.json",
+        "score-e331a56f12bbe95e.json",
+        "sel-0b4ce223a3151e10.json",
+        "sel-3e82e5e348969099.json",
+        "sel-4e2636783d0c2f34.json",
+        "sel-c3cdabd61a2826c7.json",
+        "sel-eaf5b9fa4c4f502d.json",
+        "sel-f0deb0c62c532fab.json",
+        "sel-f8c7613c40c97c72.json",
+        "store-9abe9b5072623a2d.selg",
+        "victim-ca1e90f628cf0b4c.theta0.ckpt",
+        "victim-ca1e90f628cf0b4c.thetaf.ckpt",
     ],
     "lm": [
-        "retrain-1124b6b98992c24e.ckpt",
-        "retrain-2bc2cf1b349551f5.ckpt",
-        "retrain-3aad86578f1a5252.ckpt",
-        "retrain-7cf64a3b509e2c6d.ckpt",
-        "retrain-bf1cdcbb58867439.ckpt",
-        "score-282a72af8fa11ad5.json",
-        "score-777a47c4c5477537.json",
-        "score-d8645f9bfc7d002d.json",
-        "score-f47315e7feefe95e.json",
-        "score-f59a4b7c49a9a207.json",
-        "sel-2dd8d62c11c5603d.json",
-        "sel-34fe83753ecef98a.json",
-        "sel-8dba47ff46145d5f.json",
-        "sel-a005773c8bba4283.json",
-        "sel-aca62afe4501db73.json",
-        "sel-bf9e0f00250053a1.json",
-        "store-95d802073eea9cc8.selg",
-        "victim-df2ecd6b17c3b64b.theta0.ckpt",
-        "victim-df2ecd6b17c3b64b.thetaf.ckpt",
+        "retrain-264783ac79011bc0.ckpt",
+        "retrain-37dbebbb65f5f8b5.ckpt",
+        "retrain-9442babdfddfb1db.ckpt",
+        "retrain-9bc02f25acc18304.ckpt",
+        "retrain-c7a11fed3974c95e.ckpt",
+        "score-013be11d08641634.json",
+        "score-1f355595f7091fd2.json",
+        "score-314e053a58293597.json",
+        "score-a377aa43abfe91a2.json",
+        "score-ffeb0f68af2a4081.json",
+        "sel-8ae2ddc65fc3b851.json",
+        "sel-aebed820e5e71db6.json",
+        "sel-bd1f563e4047b048.json",
+        "sel-c86adc244d469928.json",
+        "sel-d74cca4fdbce283a.json",
+        "sel-fa85e55ea42f38ca.json",
+        "store-5e6441b4232040b1.selg",
+        "victim-678998cc60377322.theta0.ckpt",
+        "victim-678998cc60377322.thetaf.ckpt",
     ],
 }
 
@@ -250,6 +254,112 @@ def test_warm_run_generates_no_signs(tmp_path, monkeypatch, name):
         generations.clear()
         assert not run_pipeline(config).provenance["errors"]
         assert (len(directions), len(generations)) == want
+
+
+# Each kind's grid at the cls golden sizes, two cells each where the kind has a grid.
+GRID_PARAMS = {
+    "pipeline": {},
+    "scaling": {"m_list": [20, 40]},
+    "leakage": {"leak_fractions": [0.1, 0.5], "leak_pool_size": 100},
+    "crossseed": {},  # the two seed corpora are written by the test
+    "projection_dim": {"k_list": [32, 64]},
+    "optimizer": {
+        "victim_optimizers": [{"kind": "sgd"}, {"kind": "adam", "learning_rate": 0.01}],
+        "retrain_optimizers": [{"kind": "adam"}],
+    },
+    "metric_ablation": {"replace_steps": [0.0, 1.0], "trials": 1},
+}
+
+
+def _cell_outputs(cells, seeds, workspace_of) -> list[dict]:
+    """Rows, selected indices and victim checksums of each (seed, cell), run
+    alone by ``harness._cell_rows`` on the workspace ``workspace_of(seed, index)``."""
+    outputs = []
+    for seed in seeds:
+        for index, cell in enumerate(cells):
+            workspace = workspace_of(seed, index)
+            picked = {}
+            run_selection = harness.run_selection
+
+            def recording(*args):
+                result = run_selection(*args)
+                picked[result.method] = result.indices
+                return result
+
+            harness.run_selection = recording
+            try:
+                ctx = harness.prepare_run(cell.config, seed, workspace)
+                rows = harness._cell_rows(cell, ctx, workspace)
+            finally:
+                harness.run_selection = run_selection
+            checksums = {"theta0": ctx.theta0.fingerprint(), "theta_f": ctx.theta_f.fingerprint()}
+            outputs.append({"rows": rows, "selections": picked, "checksums": checksums})
+    return outputs
+
+
+def _grid_outputs(config: ExperimentConfig, seeds) -> list[dict]:
+    """``_cell_outputs``'s record of each (seed, cell), from one serial ``run_pipeline``
+    of the grid, which must give the rows and checksums of a run with two seed jobs
+    at once."""
+    cell_rows, run_selection = harness._cell_rows, harness.run_selection
+    outputs = []
+
+    def recording_cell_rows(cell, *args):
+        outputs.append({"rows": None, "selections": {}, "checksums": None})
+        outputs[-1]["rows"] = cell_rows(cell, *args)
+        return outputs[-1]["rows"]
+
+    def recording_run_selection(*args):
+        result = run_selection(*args)
+        outputs[-1]["selections"][result.method] = result.indices
+        return result
+
+    harness._cell_rows, harness.run_selection = recording_cell_rows, recording_run_selection
+    try:
+        bundle = run_pipeline(config)
+    finally:
+        harness._cell_rows, harness.run_selection = cell_rows, run_selection
+    assert not bundle.provenance["errors"], bundle.provenance["errors"]
+    cells = harness.experiment_cells(config)
+    labels = [cell.label(seed) for seed in seeds for cell in cells]
+    for output, label in zip(outputs, labels, strict=True):
+        output["checksums"] = bundle.provenance["checkpoint_checksums"][label]
+    assert sorted(map(json.dumps, bundle.rows)) == sorted(
+        json.dumps(row) for output in outputs for row in output["rows"]
+    )
+    parallel = harness.run_experiment(replace(config, out_dir=config.out_dir + "_par"), parallel=2)
+    assert parallel.rows == bundle.rows
+    assert parallel.provenance["checkpoint_checksums"] == bundle.provenance["checkpoint_checksums"]
+    return outputs
+
+
+def test_grid_equals_its_cells(tmp_path):
+    """Every kind's grid, run into one out_dir, gives each cell what the cell
+    gives alone in a fresh out_dir, and again when the cells rerun in reverse
+    order into the grid's out_dir, which then holds every cache file they read."""
+    base = _config("cls", tmp_path)
+    second_pool = tmp_path / "pool_b.jsonl"
+    save_jsonl(make_pool_corpus(600, 4, seed=44, useful_fraction=0.06), second_pool)
+    select_indices = {}
+    for kind, params in GRID_PARAMS.items():
+        if kind == "crossseed":
+            params = {"seed_corpora": {"a": base.seed_corpus, "b": str(second_pool)}}
+        seeds = [0] if kind == "metric_ablation" else [0, 1]
+        config = replace(
+            base, experiment=kind, params=params, seeds=tuple(seeds),
+            methods=("select", "random", "expert"), out_dir=str(tmp_path / kind / "grid"),
+        )
+        cells = harness.experiment_cells(config)
+        grid = _grid_outputs(config, seeds)
+        alone = _cell_outputs(
+            cells, seeds, lambda seed, i: Workspace(tmp_path / kind / f"alone_{seed}_{i}")
+        )
+        assert grid == alone, kind
+        reverse = _cell_outputs(cells[::-1], seeds[::-1], lambda seed, i: Workspace(config.out_dir))
+        by_seed = [alone[j * len(cells):(j + 1) * len(cells)] for j in range(len(seeds))]
+        assert reverse == [out for outs in by_seed[::-1] for out in outs[::-1]], kind
+        select_indices[kind] = grid[0]["selections"]["select"]
+    assert select_indices["metric_ablation"] == select_indices["pipeline"]
 
 
 if __name__ == "__main__":

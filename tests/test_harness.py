@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import xml.etree.ElementTree as ET
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from gradselect import gradstore, harness, metrics, model
 from gradselect.cli import main as cli_main
-from gradselect.corpus import Document, DocumentSet, save_jsonl
+from gradselect.corpus import Document, DocumentSet, load_jsonl, save_jsonl
 from gradselect.gradstore import GradientStore
 from gradselect.model import OptimizerConfig
 from gradselect.harness import (
@@ -219,6 +220,41 @@ def run_killed_at_rename(config: ExperimentConfig, n: int, after_rename: bool) -
 
     os.replace = replace_then_exit
     run_pipeline(config)
+
+
+def refuse_parsing(patch) -> None:
+    """Make every corpus parse, vocabulary build and document-set digest of the harness raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a corpus was parsed or a document set hashed")
+
+    for name in ("load_jsonl", "build_vocab", "_docs_digest"):
+        patch.setattr(harness, name, refuse)
+
+
+def test_warm_selection_job_parses_nothing(tmp_path, monkeypatch):
+    """prepare_run -> build_candidate_pool -> gradient_stage -> run_selection, run twice."""
+    pool = tmp_path / "pool.jsonl"
+    save_jsonl(make_pool_corpus(120, 4, seed=3), pool)
+    methods = ("select", "select_batch", "topk")
+    config = base_config(
+        tmp_path, seed_corpus=str(pool), seeds=[0], methods=list(methods), num_checkpoints=2
+    )
+    workspace = Workspace(config.out_dir)
+
+    def job():
+        ctx = harness.prepare_run(config, 0, workspace)
+        artifacts = harness.gradient_stage(
+            config, ctx, harness.build_candidate_pool(config, ctx), workspace
+        )
+        return [harness.run_selection(config, ctx, artifacts, m, workspace) for m in methods]
+
+    first = job()
+    refuse_parsing(monkeypatch)
+    second = job()
+    assert [(r.indices, r.step_scores) for r in second] == [
+        (r.indices, r.step_scores) for r in first
+    ]
 
 
 class TestPipeline:
@@ -494,11 +530,67 @@ class TestPipeline:
 
         monkeypatch.setattr(metrics, "train", refuse)
         monkeypatch.setattr(harness, "train", refuse)
-        for name in ("recovery_ot", "vocab_containment", "token_set"):
+        monkeypatch.setattr(metrics, "token_set", refuse)
+        for name in ("recovery_ot", "vocab_containment"):
             monkeypatch.setattr(harness, name, refuse)
         second = run_pipeline(config)
         assert not second.provenance["errors"]
         assert second.rows == first.rows
+
+    @pytest.mark.parametrize("pool_source", ["seed_split", "seed_corpus"])
+    @pytest.mark.parametrize("task", ["classification", "next_token"])
+    def test_warm_run_parses_nothing(self, tmp_path, monkeypatch, task, pool_source):
+        methods = ["select", "random", "topk"]
+        if task == "classification":
+            methods.insert(1, "select_batch")
+        overrides = {}
+        if pool_source == "seed_corpus":
+            overrides["seed_corpus"] = str(tmp_path / "pool.jsonl")
+            save_jsonl(make_pool_corpus(120, 4, seed=3), overrides["seed_corpus"])
+        config = base_config(
+            tmp_path, methods=methods, seeds=[0],
+            model={"embed_dim": 8, "num_classes": 4, "task": task}, **overrides,
+        )
+        first = run_pipeline(config)
+        assert not first.provenance["errors"]
+        refuse_parsing(monkeypatch)
+        second = run_pipeline(config)
+        assert not second.provenance["errors"]
+        assert second.rows == first.rows
+
+    def test_edited_inputs_rebuild_what_they_feed(self, tmp_path):
+        pool = tmp_path / "pool.jsonl"
+        save_jsonl(make_pool_corpus(120, 4, seed=3), pool)
+        config = base_config(tmp_path, seed_corpus=str(pool), methods=["select", "random"], seeds=[0])
+        assert not run_pipeline(config).provenance["errors"]
+        cache = Workspace(config.out_dir).cache_dir
+
+        def rerun_after(path: Path) -> Counter:
+            """Edit one text of ``path``; rerun; the count of new cache files per kind."""
+            docs = list(load_jsonl(path))
+            docs[0] = Document(0, docs[0].text + " edited", docs[0].label)
+            before = set(cache.iterdir())
+            save_jsonl(DocumentSet(docs), path)
+            again = run_pipeline(config)
+            fresh = run_pipeline(replace(config, out_dir=str(tmp_path / f"fresh_{path.stem}")))
+            assert not again.provenance["errors"] and not fresh.provenance["errors"]
+            assert again.rows == fresh.rows
+            return Counter(new.name.split("-")[0] for new in set(cache.iterdir()) - before)
+
+        # The pool feeds the store and everything after it, not the victim.
+        assert rerun_after(pool) == {"store": 1, "sel": 2, "retrain": 2, "score": 2}
+        # The task file feeds the victim, so every stage after it too.
+        assert rerun_after(Path(config.corpus)) == {
+            "victim": 2, "store": 1, "sel": 2, "retrain": 2, "score": 2
+        }
+        # An oversized selection is refused on the store-hit path, reading no corpus.
+        names = sorted(cache.iterdir())
+        with pytest.MonkeyPatch.context() as patch:
+            refuse_parsing(patch)
+            oversized = run_pipeline(replace(config, selection_size=121))
+        (error,) = oversized.provenance["errors"]
+        assert "[pool] selection_size 121 exceeds pool size 120" in error
+        assert sorted(cache.iterdir()) == names
 
     def test_every_cache_kind_has_a_defect_case(self, tmp_path):
         config = base_config(tmp_path, methods=["select", "random", "expert"], seeds=[0])
@@ -1157,15 +1249,25 @@ def test_malformed_score_file_is_rebuilt_not_raised(tmp_path, caplog, data):
 
 def test_reference_side_scored_once_per_cell(tmp_path, monkeypatch):
     config = base_config(tmp_path, seeds=[0], methods=["select", "random", "topk"])
+    with monkeypatch.context() as patch:
+        # The reference tokens as a second pass over the training split gives them.
+        patch.setattr(harness.Reference, "tokens", property(lambda r: metrics.token_set(r.docs)))
+        two_pass = run_pipeline(replace(config, out_dir=str(tmp_path / "two_pass")))
     embedded, tokenized = [], []
-    real_embed, real_tokens = harness.embed, harness.token_set
+    real_embed, real_tokens = harness.embed, metrics.token_set
     monkeypatch.setattr(harness, "embed", lambda docs, *a: embedded.append(docs) or real_embed(docs, *a))
-    monkeypatch.setattr(harness, "token_set", lambda docs: tokenized.append(docs) or real_tokens(docs))
+    recording = lambda docs: tokenized.append(docs) or real_tokens(docs)
+    monkeypatch.setattr(metrics, "token_set", recording)
+    # And under any token_set name the harness itself may hold.
+    monkeypatch.setattr(harness, "token_set", recording, raising=False)
     bundle = run_pipeline(config)
     assert not bundle.provenance["errors"] and len(bundle.rows) == 3
     # One subsample per method, one reference subsample (equal sizes draw it alike).
     assert len(embedded) == 4
-    assert len(tokenized) == 1
+    # Each selection is tokenized for its containment; the training split never
+    # is: its token set is the one build_vocab counted.
+    assert [len(docs) for docs in tokenized] == [config.selection_size] * 3
+    assert bundle.rows == two_pass.rows
 
 
 class TestCLI:
