@@ -72,6 +72,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    NUM_RESERVED,
     Document,
     DocumentSet,
     TokenBatch,
@@ -159,15 +160,17 @@ _PARAMS_KEYS = (
     "m_list", "leak_fractions", "leak_pool_size", "seed_corpora", "task_corpora",
     "k_list", "victim_optimizers", "retrain_optimizers", "replace_steps", "trials",
 )
-_INT_FIELDS = (
-    "selection_size",
-    "num_checkpoints",
-    "projection_dim",
-    "batch_window",
-    "seq_len",
-    "vocab_max_size",
-    "ot_max_points",
-)
+# Every integer field and its least valid value: a vocabulary holds the
+# reserved ids and at least one token.
+_INT_FIELDS = {
+    "selection_size": 1,
+    "num_checkpoints": 1,
+    "projection_dim": 1,
+    "batch_window": 1,
+    "seq_len": 1,
+    "vocab_max_size": NUM_RESERVED + 1,
+    "ot_max_points": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -222,10 +225,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.experiment!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if self.selection_size < 1:
-            raise ValueError("selection_size must be positive")
-        if self.num_checkpoints < 1:
-            raise ValueError("num_checkpoints must be positive")
+        for name, least in _INT_FIELDS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         unknown = set(self.methods or ()) - set(ALL_METHODS + ("expert",))
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")

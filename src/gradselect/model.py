@@ -6,27 +6,37 @@ supported: a C-way classifier (one label per document) and a next-token
 predictor (per-position V-way softmax over a causal mean-pooled context).
 Everything is plain numpy; gradients are analytic.
 
-One softmax head serves both tasks. ``_head_positions`` turns a batch into
+One softmax head serves both tasks. ``_head_logits`` turns a batch into
 prediction positions (one per document for classification, one per token
 but the last for next-token), and everything downstream runs one path over
 them: hidden layer, log-softmax, the NLL, the softmax - onehot residual, and
 the head and hidden-layer backprop. Three things stay per task: the pooling,
 its backward scatter into the embedding, and the gradient scale. The
-classification scatter is one float64 ``bincount`` over (token row, column);
-next-token scatters its float32 position terms with ``_scatter_add_rows``.
+classification scatter multiplies each document's gradient row by a sparse
+(table row, document) count matrix, which adds the terms of every row in
+float64 and in token order, as a float64 ``bincount`` would; next-token
+scatters its float32 position terms with ``_scatter_add_rows``.
+
+A batch reads its tokens as rows of a padded table (``_padded_table``): the
+embedding of every model flattened to (K*V, h), then one zero row. Token
+``id`` of model k is row ``id + k*V`` and every padding position is the zero
+row (``_table_rows``), so the gather needs no mask: padding adds +0.0 to a
+pooled sum. ``train`` builds the table and the rows once per call and trains
+the embedding as a view of its table; ``_head_positions``,
+``_per_example_losses`` and ``batch_loss_and_grads`` take token ids and build
+both per call.
 
 K models that share a configuration can run as one: ``ModelParams.stack``
-gives every block a leading model axis, and the batch's ids, lengths and
+gives every block a leading model axis, and a batch's rows, lengths and
 labels then have shape (K, b, s), (K, b) and (K, b). The algebra is written
-once over that optional axis: the gather reads row ``ids + k*V`` of the
-embedding flattened to (K*V, h), the matmuls are batched over k, and every
+once over that optional axis: the matmuls are batched over k, and every
 reduction runs within one model, so a stacked classification step gives each
-model the bits of its own step. ``train`` and ``evaluate`` take stacked
-params too.
+model the bits of its own step. ``train`` scores its validation set for all K
+models in one pass; ``evaluate`` takes stacked params too.
 
 Batched kernels run only up to the longest valid column of their batch
-(``_unpad``): the padding past it would be computed and then zeroed by the
-mask, so cutting it changes no value.
+(``_unpad``): the padding past it reads only the zero row, so cutting it
+changes no value.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import DocumentSet, Vocab, atomic_write, encode_documents
 
@@ -260,6 +271,7 @@ class OptimizerState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -276,9 +288,17 @@ class EvalMetrics:
         }
 
 
+def _shifted(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(logits - their row max, in place, and the log of each row's sum of exp)."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    return logits, np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """The log-softmax of every row, computed in the memory of ``logits``."""
+    shifted, lse = _shifted(logits)
+    shifted -= lse
+    return shifted
 
 
 def _scatter_add_rows(dest: np.ndarray, ids: np.ndarray, contrib: np.ndarray) -> None:
@@ -303,27 +323,49 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _embedding_rows(params: ModelParams, ids: np.ndarray) -> np.ndarray:
-    """The row of each token in the embedding flattened to (K*V, h): ids + k*V in model k."""
-    if params.num_models is None:
-        return ids
-    return ids + (np.arange(params.num_models) * params.config.vocab_size)[:, None, None]
+def _padded_table(embedding: np.ndarray) -> np.ndarray:
+    """The embedding of every model as one (K*V + 1, h) table whose last row is zero."""
+    h = embedding.shape[-1]
+    table = np.zeros((embedding.size // h + 1, h), dtype=embedding.dtype)
+    table[:-1] = embedding.reshape(-1, h)
+    return table
 
 
-def _head_positions(
+def _table_rows(params: ModelParams, ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The row of every token in the padded table, cut to the longest document.
+
+    Token ``id`` of model k reads row id + k*V, and every position past its
+    document's length reads the zero row K*V. Raises ValueError for a document
+    too short for the task: classification needs 1 token, next-token 2.
+    """
+    if params.config.task == TASK_CLASSIFICATION and np.any(lens < 1):
+        raise ValueError("every document must have at least 1 token")
+    if params.config.task == TASK_NEXT_TOKEN and np.any(lens < 2):
+        raise ValueError("next-token documents need at least 2 tokens")
+    ids = _unpad(ids, lens).astype(np.intp)
+    if params.num_models is not None:
+        ids = ids + (np.arange(params.num_models) * params.config.vocab_size)[:, None, None]
+    pad = params.embedding.size // params.config.embed_dim
+    return np.where(np.arange(ids.shape[-1]) < lens[..., None], ids, pad)
+
+
+def _head_logits(
     params: ModelParams,
-    ids: np.ndarray,
+    table: np.ndarray,
+    rows: np.ndarray,
     lens: np.ndarray,
-    labels: np.ndarray | None = None,
+    labels: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Forward pass over the prediction positions of a batch, for either task.
 
-    Returns (context, z, logp, targets, mask) for b documents of T positions,
-    each with a leading model axis K for stacked params:
+    ``rows`` are the ``_table_rows`` of the batch in ``table``, the
+    ``_padded_table`` of ``params``, cut to its longest document. Returns
+    (context, z, logits, targets, mask) for b documents of T positions, each
+    with a leading model axis K for stacked params:
 
     - context (b, T, h): the pooled input of each position;
     - z (b, T, h): context after the optional tanh hidden layer;
-    - logp (b, T, D): log-softmax of the head;
+    - logits (b, T, D): the output of the head;
     - targets (b, T) int: the target of each position, None for
       classification without labels;
     - mask (b, T) bool: the positions with a target.
@@ -335,30 +377,40 @@ def _head_positions(
     batch axis.
     """
     cfg = params.config
-    classify = cfg.task == TASK_CLASSIFICATION
-    if classify and np.any(lens < 1):
-        raise ValueError("every document must have at least 1 token")
-    if not classify and np.any(lens < 2):
-        raise ValueError("next-token documents need at least 2 tokens")
-    ids = _unpad(ids, lens)
-    s, h = ids.shape[-1], cfg.embed_dim
-    tok_mask = np.arange(s) < lens[..., None]
-    emb = params.embedding.reshape(-1, h)[_embedding_rows(params, ids)] * tok_mask[..., None]
-    if classify:
-        context = (emb.sum(axis=-2) / lens[..., None])[..., None, :]
+    s, h = rows.shape[-1], cfg.embed_dim
+    # Padding reads the zero row, so it adds +0.0 to every sum over positions.
+    if cfg.task == TASK_CLASSIFICATION:
+        # Gathered position-major, the sum adds whole (b, h) slabs in position order.
+        pooled = table[np.moveaxis(rows, -1, 0)].sum(axis=0)
+        context = (pooled / lens[..., None])[..., None, :]
         targets = None if labels is None else np.asarray(labels)[..., None]
         mask = np.ones(lens.shape + (1,), dtype=bool)
     else:
-        counts = np.arange(1, s, dtype=params.embedding.dtype)
-        context = np.cumsum(emb, axis=-2)[..., :-1, :] / counts[:, None]
-        targets = ids[..., 1:]
-        mask = tok_mask[..., 1:]
+        counts = np.arange(1, s, dtype=table.dtype)
+        context = np.cumsum(table[rows], axis=-2)[..., :-1, :] / counts[:, None]
+        # Row id + k*V holds token id; the zero row K*V gives PAD (0), a
+        # position the mask drops.
+        targets = rows[..., 1:] % cfg.vocab_size
+        mask = np.arange(1, s) < lens[..., None]
     z = context.reshape(*params.embedding.shape[:-2], -1, h)
     if cfg.hidden_layer:
         z = np.tanh(z @ _swap(params.hidden_w) + params.hidden_b[..., None, :])
-    logp = _log_softmax(z @ _swap(params.head_w) + params.head_b[..., None, :])
-    logp = logp.reshape(*context.shape[:-1], cfg.head_dim)
-    return context, z.reshape(context.shape), logp, targets, mask
+    logits = z @ _swap(params.head_w) + params.head_b[..., None, :]
+    logits = logits.reshape(*context.shape[:-1], cfg.head_dim)
+    return context, z.reshape(context.shape), logits, targets, mask
+
+
+def _head_positions(
+    params: ModelParams,
+    ids: np.ndarray,
+    lens: np.ndarray,
+    labels: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """``_head_logits`` of a batch of token ids, with the log-softmax (b, T, D) for the logits."""
+    table = _padded_table(params.embedding)
+    rows = _table_rows(params, ids, lens)
+    context, z, logits, targets, mask = _head_logits(params, table, rows, lens, labels)
+    return context, z, _log_softmax(logits), targets, mask
 
 
 def _at_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,15 +418,33 @@ def _at_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(targets.size), targets.ravel()
 
 
-def _example_nll(logp: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(b,) negative log-likelihood of each document, averaged over its positions."""
-    nll = -logp.reshape(-1, logp.shape[-1])[_at_targets(targets)].reshape(targets.shape)
+def _target_nll(logp: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(b, T) negative log-probability of each position's target."""
+    return -logp.reshape(-1, logp.shape[-1])[_at_targets(targets)].reshape(targets.shape)
+
+
+def _example_nll(nll: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(b,) mean of each document's (b, T) position NLL over its masked positions."""
     return (nll * mask).sum(axis=-1) / mask.sum(axis=-1)
+
+
+def _losses(
+    params: ModelParams,
+    table: np.ndarray,
+    rows: np.ndarray,
+    lens: np.ndarray,
+    labels: np.ndarray | None,
+) -> np.ndarray:
+    """(b,) loss of each document, read at its targets without the full log-softmax."""
+    _, _, logits, targets, mask = _head_logits(params, table, rows, lens, labels)
+    shifted, lse = _shifted(logits)
+    logp = shifted.reshape(-1, shifted.shape[-1])[_at_targets(targets)] - lse.ravel()
+    return _example_nll(-logp.reshape(targets.shape), mask)
 
 
 def _residual(logp: np.ndarray, targets: np.ndarray, dtype) -> np.ndarray:
     """(b, T, D) softmax - onehot(targets) in ``dtype``, at every position."""
-    err = np.exp(logp).astype(dtype)
+    err = np.exp(logp).astype(dtype, copy=False)
     err.reshape(-1, err.shape[-1])[_at_targets(targets)] -= 1.0
     return err
 
@@ -390,8 +460,8 @@ def _per_example_losses(
     params: ModelParams, ids: np.ndarray, lens: np.ndarray, labels: np.ndarray | None
 ) -> np.ndarray:
     """(b,) loss of each document: its mean NLL over its prediction positions."""
-    _, _, logp, targets, mask = _head_positions(params, ids, lens, labels)
-    return _example_nll(logp, targets, mask)
+    table = _padded_table(params.embedding)
+    return _losses(params, table, _table_rows(params, ids, lens), lens, labels)
 
 
 def batch_loss_and_grads(
@@ -404,13 +474,26 @@ def batch_loss_and_grads(
 
     Stacked params give a (K,) loss, one per model, and stacked gradients.
     """
+    table = _padded_table(params.embedding)
+    return _loss_and_grads(params, table, _table_rows(params, ids, lens), lens, labels)
+
+
+def _loss_and_grads(
+    params: ModelParams,
+    table: np.ndarray,
+    rows: np.ndarray,
+    lens: np.ndarray,
+    labels: np.ndarray | None,
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
+    """``batch_loss_and_grads`` of a batch given as ``rows`` of ``table``."""
     cfg = params.config
-    dtype = params.embedding.dtype
+    dtype = table.dtype
     lead = params.embedding.shape[:-2]
-    n, h = ids.shape[-2], cfg.embed_dim
-    ids = _unpad(ids, lens)
-    context, z, logp, targets, mask = _head_positions(params, ids, lens, labels)
-    loss_val = _example_nll(logp, targets, mask).mean(axis=-1)
+    n, h = lens.shape[-1], cfg.embed_dim
+    rows = _unpad(rows, lens)
+    context, z, logits, targets, mask = _head_logits(params, table, rows, lens, labels)
+    logp = _log_softmax(logits)
+    loss_val = _example_nll(_target_nll(logp, targets), mask).mean(axis=-1)
     # The residual keeps the head's dtype: float64 for classification, float32
     # for next-token. The scale spreads the batch mean over the positions.
     err = _residual(logp, targets, logp.dtype)
@@ -426,19 +509,24 @@ def batch_loss_and_grads(
         grads["hidden_w"] = _swap(da) @ context.reshape(*lead, -1, h)
         grads["hidden_b"] = da.sum(axis=-2)
         dcontext = da @ params.hidden_w
-    # The backward of the pooling scatters into the embedding rows of the tokens.
-    rows = _embedding_rows(params, ids)
+    # The backward of the pooling scatters into the table rows of the tokens.
     if cfg.task == TASK_CLASSIFICATION:
         # One position per document: each valid token gets its document's
-        # row / len. One float64 bincount over (row, column) adds each entry's
-        # terms in token order, as a segment sum over stably sorted rows would.
-        tokens = np.nonzero(np.arange(ids.shape[-1]) < lens[..., None])
-        contrib = (dcontext / lens[..., None].astype(dtype))[tokens[:-1]]
-        bins = (rows[tokens][:, None] * h + np.arange(h)).ravel()
-        d_emb = np.bincount(bins, contrib.ravel(), minlength=params.embedding.size)
-        grads["embedding"] = d_emb.astype(dtype).reshape(params.embedding.shape)
+        # row / len. The product with the sparse (table row, document) count
+        # matrix adds them in float64, to each row in (document, position)
+        # order, as one float64 bincount over (row, column) would.
+        contrib = (dcontext / lens[..., None].astype(dtype)).reshape(-1, h)
+        # The valid tokens' rows in (model, document, position) order, and
+        # where each document's run of them starts.
+        tokens = rows[rows < len(table) - 1]
+        starts = np.zeros(lens.size + 1, dtype=np.intp)
+        np.cumsum(lens, out=starts[1:])
+        occurs = sparse.csc_array(
+            (np.ones(tokens.size), tokens, starts), shape=(len(table) - 1, lens.size)
+        )
+        grads["embedding"] = (occurs @ contrib).astype(dtype).reshape(params.embedding.shape)
     else:
-        counts = np.arange(1, ids.shape[-1], dtype=dtype)
+        counts = np.arange(1, rows.shape[-1], dtype=dtype)
         dcsum = dcontext.reshape(context.shape) / counts[:, None]
         # token at position u feeds every context t >= u: suffix-sum over t
         dpos = np.flip(np.cumsum(np.flip(dcsum, axis=-2), axis=-2), axis=-2)
@@ -458,35 +546,45 @@ def optimizer_step(
     """Apply one update in place; moments are tracked per parameter block.
 
     Every operation is elementwise, so stacked params update each model as
-    its own step would.
+    its own step would. The state holds each block's moments and scratch
+    arrays, allocated at its first step, so a block's gradient keeps one dtype
+    from step to step. A float64 gradient (the classification head's) meets
+    the float32 moments in float64 and is rounded on store.
     """
     if state is None:
         state = OptimizerState()
-    blocks = params.blocks()
     lr = opt.learning_rate
-    if opt.kind == "sgd":
-        for name, block in blocks.items():
-            block -= (lr * grads[name]).astype(block.dtype)
-        state.step += 1
-        return params, state
     t = state.step + 1
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    for name, block in blocks.items():
+    for name, block in params.blocks().items():
         g = grads[name]
-        if name not in state.m:
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(g), np.empty_like(block), np.empty_like(block))
+        if opt.kind != "sgd" and name not in state.m:
             state.m[name] = np.zeros_like(block)
             state.v[name] = np.zeros_like(block)
+        gs, update, denom = state.scratch[name]
+        if opt.kind == "sgd":
+            np.multiply(g, lr, out=update)
+            block -= update
+            continue
         m = state.m[name]
         v = state.v[name]
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += np.multiply(g, 1.0 - opt.beta1, out=gs)
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
+        np.multiply(g, 1.0 - opt.beta2, out=gs)
+        v += np.multiply(gs, g, out=gs)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += opt.epsilon
+        np.divide(m, bc1, out=update)
+        update /= denom
         if opt.kind == "adamw":
-            update = update + opt.weight_decay * block
-        block -= (lr * update).astype(block.dtype)
+            update += np.multiply(block, opt.weight_decay, out=denom)
+        update *= lr
+        block -= update
     state.step = t
     return params, state
 
@@ -522,6 +620,12 @@ def train(
     equal slices of ``data``. One permutation orders every slice, each model
     keeps its own best-epoch snapshot, a non-finite loss in any model raises,
     and the trace holds one per-epoch list per model.
+
+    The embedding trains as a view of a ``_padded_table`` owned by this call.
+    Every document's ``_table_rows`` are built once and reordered once per
+    epoch, so a batch is a slice, and the optimizer updates in place. Each
+    epoch scores the validation set once for all K models. The returned
+    params own their arrays.
     """
     if len(data) == 0:
         raise ValueError("training data is empty")
@@ -529,51 +633,63 @@ def train(
     if num_models is not None and len(data) % num_models:
         raise ValueError(f"{len(data)} documents do not split into {num_models} equal slices")
     lead = () if num_models is None else (num_models,)
+    params = initial.copy()
+    table = _padded_table(params.embedding)
+    params.embedding = table[:-1].reshape(params.embedding.shape)
     batch = encode_documents(data, vocab, seq_len)
-    ids = batch.ids.reshape(*lead, -1, batch.ids.shape[-1])
     lens = batch.valid_len.reshape(*lead, -1)
-    labels = _head_labels(data, initial.config)
+    rows = _table_rows(params, batch.ids.reshape(*lead, -1, batch.ids.shape[-1]), lens)
+    labels = _head_labels(data, params.config)
     if labels is not None:
         labels = labels.reshape(lens.shape)
-    val_batch = val_labels = None
+    val_rows = val_lens = val_labels = None
     if validation is not None and len(validation) > 0:
         val_batch = encode_documents(validation, vocab, seq_len)
-        val_labels = _head_labels(validation, initial.config)
+        val_lens = np.broadcast_to(val_batch.valid_len, (*lead, len(validation)))
+        val_rows = _table_rows(params, val_batch.ids, val_lens)
+        val_labels = _head_labels(validation, params.config)
+        if val_labels is not None:
+            val_labels = np.broadcast_to(val_labels, val_lens.shape)
 
-    params = initial.copy()
     state: OptimizerState | None = None
     rng = np.random.default_rng(opt.seed)
-    traces: list[list[float]] = [[] for _ in range(num_models or 1)]
-    best_loss = [np.inf] * len(traces)
-    best: list[ModelParams | None] = [None] * len(traces)
     n = lens.shape[-1]
+    starts = range(0, n, opt.batch_size)
+    traces: list[list[float]] = [[] for _ in range(num_models or 1)]
+    epoch_losses = np.empty((len(traces), len(starts)))
+    best_loss = np.full(len(traces), np.inf)
+    best: list[ModelParams | None] = [None] * len(traces)
     for epoch in range(opt.epochs):
         perm = rng.permutation(n)
-        epoch_losses: list[list[float]] = [[] for _ in traces]
-        for b, start in enumerate(range(0, n, opt.batch_size)):
-            take = perm[start : start + opt.batch_size]
-            batch_labels = None if labels is None else labels[..., take]
-            loss_val, grads = batch_loss_and_grads(
-                params, ids[..., take, :], lens[..., take], batch_labels
+        epoch_rows, epoch_lens = rows[..., perm, :], lens[..., perm]
+        epoch_labels = None if labels is None else labels[..., perm]
+        for b, start in enumerate(starts):
+            take = slice(start, start + opt.batch_size)
+            loss_val, grads = _loss_and_grads(
+                params,
+                table,
+                epoch_rows[..., take, :],
+                epoch_lens[..., take],
+                None if epoch_labels is None else epoch_labels[..., take],
             )
-            losses = np.atleast_1d(loss_val)
-            bad = np.flatnonzero(~np.isfinite(losses))
-            if bad.size:
-                kind = "NaN" if np.isnan(losses[bad[0]]) else "inf"
-                where = "" if num_models is None else f" of model {bad[0]}"
+            losses = epoch_losses[:, b]
+            losses[:] = loss_val
+            if not np.isfinite(losses).all():
+                bad = np.flatnonzero(~np.isfinite(losses))[0]
+                kind = "NaN" if np.isnan(losses[bad]) else "inf"
+                where = "" if num_models is None else f" of model {bad}"
                 raise RuntimeError(f"{kind} loss in epoch {epoch} batch {b}{where}")
             params, state = optimizer_step(params, grads, state, opt)
-            for model_losses, value in zip(epoch_losses, losses):
-                model_losses.append(value)
+        # A contiguous row per model: the same pairwise mean as a list's.
         for trace, model_losses in zip(traces, epoch_losses):
-            trace.append(float(np.mean(model_losses)))
-        if val_batch is not None:
-            for k, model in enumerate(params.models()):
-                val_loss = batch_mean_loss(model, val_batch.ids, val_batch.valid_len, val_labels)
-                if val_loss < best_loss[k]:
-                    best_loss[k] = val_loss
+            trace.append(float(model_losses.mean()))
+        if val_rows is not None:
+            val_loss = _losses(params, table, val_rows, val_lens, val_labels).mean(axis=-1)
+            for k, (model, loss) in enumerate(zip(params.models(), np.atleast_1d(val_loss))):
+                if loss < best_loss[k]:
+                    best_loss[k] = loss
                     best[k] = model.copy()
-    final = [kept if kept is not None else last for kept, last in zip(best, params.models())]
+    final = [kept if kept is not None else last.copy() for kept, last in zip(best, params.models())]
     if num_models is None:
         return final[0], traces[0]
     return ModelParams.stack(final), traces
@@ -584,8 +700,11 @@ def evaluate(
 ) -> EvalMetrics | list[EvalMetrics]:
     """Accuracy/mean loss for classification; mean loss/perplexity otherwise.
 
-    Stacked params score the test set with each model in turn, which holds one
-    model's activations at a time: one EvalMetrics per model.
+    Stacked params score the test set with each model in turn: one
+    EvalMetrics per model. Unlike ``train``'s validation pass, this holds one
+    model's activations at a time, because a stacked forward over the test set
+    raised the peak RSS of a run by 11%. Accuracy is the argmax of the
+    log-softmax.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
@@ -594,7 +713,7 @@ def evaluate(
     out = []
     for model in params.models():
         _, _, logp, targets, mask = _head_positions(model, batch.ids, batch.valid_len, labels)
-        mean_loss = float(_example_nll(logp, targets, mask).mean())
+        mean_loss = float(_example_nll(_target_nll(logp, targets), mask).mean())
         if labels is not None:
             accuracy = float((logp[:, 0].argmax(axis=1) == labels).mean())
             out.append(EvalMetrics(mean_loss=mean_loss, accuracy=accuracy))

@@ -13,7 +13,7 @@ import pytest
 
 from gradselect import gradstore, harness, metrics, model
 from gradselect.cli import main as cli_main
-from gradselect.corpus import Document, DocumentSet, load_jsonl, save_jsonl
+from gradselect.corpus import NUM_RESERVED, Document, DocumentSet, load_jsonl, save_jsonl
 from gradselect.gradstore import GradientStore
 from gradselect.model import OptimizerConfig
 from gradselect.harness import (
@@ -153,6 +153,24 @@ class TestConfig:
     def test_unknown_scoring_rule_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="scoring_rule"):
             base_config(tmp_path, scoring_rule="cosine")
+
+    @pytest.mark.parametrize(
+        "name, least",
+        [
+            ("selection_size", 1),
+            ("num_checkpoints", 1),
+            ("projection_dim", 1),
+            ("batch_window", 1),
+            ("seq_len", 1),
+            ("ot_max_points", 1),
+            ("vocab_max_size", NUM_RESERVED + 1),
+        ],
+    )
+    def test_int_field_below_its_least_value_rejected_at_load(self, tmp_path, name, least):
+        # Found at load, not by a stage of every cell after the victim is trained.
+        with pytest.raises(ValueError, match=rf"^{name} must be at least {least}, got {least - 1}$"):
+            base_config(tmp_path, **{name: least - 1})
+        assert getattr(base_config(tmp_path, **{name: least}), name) == least
 
     def test_default_methods_by_task(self, tmp_path):
         config = base_config(tmp_path)

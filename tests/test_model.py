@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import padded, padding_case, reference_losses
-from gradselect.corpus import Document, DocumentSet, build_vocab
+from gradselect.corpus import NUM_RESERVED, PAD_ID, Document, DocumentSet, build_vocab
 from gradselect.model import (
+    OPTIMIZER_KINDS,
+    TASK_CLASSIFICATION,
     TASKS,
     EvalMetrics,
     ModelConfig,
@@ -21,8 +23,12 @@ from gradselect.model import (
     optimizer_step,
     save_checkpoint,
     train,
+    _at_targets,
     _head_positions,
     _per_example_losses,
+    _scatter_add_rows,
+    _swap,
+    _unpad,
 )
 from gradselect.toycorpus import make_classification_corpus
 
@@ -31,6 +37,123 @@ def one_row(ids, valid_len=None):
     """One document as a one-row batch: (1, s) ids and its (1,) valid length."""
     arr = np.asarray(ids, dtype=np.int64)[None, :]
     return arr, np.array([valid_len if valid_len is not None else int((arr != 0).sum())])
+
+
+# The masked step that the padded-table step replaced, kept as its oracle.
+# Every position reads its own id's embedding row times a 0/1 token mask, the
+# classification backward is one float64 bincount over (row, column) bins,
+# and the optimizer allocates every temporary.
+
+
+def ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def ref_embedding_rows(params, ids):
+    if params.num_models is None:
+        return ids
+    return ids + (np.arange(params.num_models) * params.config.vocab_size)[:, None, None]
+
+
+def ref_head_positions(params, ids, lens, labels=None):
+    cfg = params.config
+    classify = cfg.task == TASK_CLASSIFICATION
+    ids = _unpad(ids, lens)
+    s, h = ids.shape[-1], cfg.embed_dim
+    tok_mask = np.arange(s) < lens[..., None]
+    emb = params.embedding.reshape(-1, h)[ref_embedding_rows(params, ids)] * tok_mask[..., None]
+    if classify:
+        context = (emb.sum(axis=-2) / lens[..., None])[..., None, :]
+        targets = None if labels is None else np.asarray(labels)[..., None]
+        mask = np.ones(lens.shape + (1,), dtype=bool)
+    else:
+        counts = np.arange(1, s, dtype=params.embedding.dtype)
+        context = np.cumsum(emb, axis=-2)[..., :-1, :] / counts[:, None]
+        targets = ids[..., 1:]
+        mask = tok_mask[..., 1:]
+    z = context.reshape(*params.embedding.shape[:-2], -1, h)
+    if cfg.hidden_layer:
+        z = np.tanh(z @ _swap(params.hidden_w) + params.hidden_b[..., None, :])
+    logp = ref_log_softmax(z @ _swap(params.head_w) + params.head_b[..., None, :])
+    logp = logp.reshape(*context.shape[:-1], cfg.head_dim)
+    return context, z.reshape(context.shape), logp, targets, mask
+
+
+def ref_example_nll(logp, targets, mask):
+    nll = -logp.reshape(-1, logp.shape[-1])[_at_targets(targets)].reshape(targets.shape)
+    return (nll * mask).sum(axis=-1) / mask.sum(axis=-1)
+
+
+def ref_loss_and_grads(params, ids, lens, labels):
+    cfg = params.config
+    dtype = params.embedding.dtype
+    lead = params.embedding.shape[:-2]
+    n, h = ids.shape[-2], cfg.embed_dim
+    ids = _unpad(ids, lens)
+    context, z, logp, targets, mask = ref_head_positions(params, ids, lens, labels)
+    loss_val = ref_example_nll(logp, targets, mask).mean(axis=-1)
+    err = np.exp(logp).astype(logp.dtype)
+    err.reshape(-1, err.shape[-1])[_at_targets(targets)] -= 1.0
+    if cfg.task == TASK_CLASSIFICATION:
+        err /= n
+    else:
+        err *= (mask / (mask.sum(axis=-1)[..., None] * n)).astype(dtype)[..., None]
+    err, z = err.reshape(*lead, -1, cfg.head_dim), z.reshape(*lead, -1, h)
+    grads = {"head_w": _swap(err) @ z, "head_b": err.sum(axis=-2)}
+    dcontext = err @ params.head_w
+    if cfg.hidden_layer:
+        da = dcontext * (1.0 - z * z)
+        grads["hidden_w"] = _swap(da) @ context.reshape(*lead, -1, h)
+        grads["hidden_b"] = da.sum(axis=-2)
+        dcontext = da @ params.hidden_w
+    rows = ref_embedding_rows(params, ids)
+    if cfg.task == TASK_CLASSIFICATION:
+        tokens = np.nonzero(np.arange(ids.shape[-1]) < lens[..., None])
+        contrib = (dcontext / lens[..., None].astype(dtype))[tokens[:-1]]
+        bins = (rows[tokens][:, None] * h + np.arange(h)).ravel()
+        d_emb = np.bincount(bins, contrib.ravel(), minlength=params.embedding.size)
+        grads["embedding"] = d_emb.astype(dtype).reshape(params.embedding.shape)
+    else:
+        counts = np.arange(1, ids.shape[-1], dtype=dtype)
+        dcsum = dcontext.reshape(context.shape) / counts[:, None]
+        dpos = np.flip(np.cumsum(np.flip(dcsum, axis=-2), axis=-2), axis=-2)
+        d_emb = np.zeros_like(params.embedding)
+        _scatter_add_rows(d_emb.reshape(-1, h), rows[..., :-1][mask], dpos[mask])
+        grads["embedding"] = d_emb
+    return loss_val, grads
+
+
+def ref_optimizer_step(params, grads, state, opt):
+    if state is None:
+        state = OptimizerState()
+    blocks = params.blocks()
+    lr = opt.learning_rate
+    if opt.kind == "sgd":
+        for name, block in blocks.items():
+            block -= (lr * grads[name]).astype(block.dtype)
+        state.step += 1
+        return params, state
+    t = state.step + 1
+    bc1 = 1.0 - opt.beta1**t
+    bc2 = 1.0 - opt.beta2**t
+    for name, block in blocks.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(block)
+            state.v[name] = np.zeros_like(block)
+        m = state.m[name]
+        v = state.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
+        if opt.kind == "adamw":
+            update = update + opt.weight_decay * block
+        block -= (lr * update).astype(block.dtype)
+    state.step = t
+    return params, state
 
 
 class TestInitParams:
@@ -157,6 +280,96 @@ class TestGradients:
                 fd = (up - down) / 2e-3
                 analytic = grads[name].ravel()[idx]
                 assert abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8) < 1e-4
+
+
+@st.composite
+def step_cases(draw):
+    """A batch for either task: solo or K = 1..4 stacked models, float32 or
+    float64, documents of every valid length up to the width, some longer and
+    cut to it, drawn from a few token ids so that tokens repeat."""
+    task = draw(st.sampled_from(TASKS))
+    num_models = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    width = draw(st.integers(2, 9))
+    least = 1 if task == TASK_CLASSIFICATION else 2
+    docs = draw(st.lists(st.integers(least, width + 3), min_size=1, max_size=5))
+    cfg = ModelConfig(
+        vocab_size=draw(st.integers(NUM_RESERVED + 2, 12)),
+        embed_dim=draw(st.integers(2, 5)),
+        num_classes=3,
+        hidden_layer=draw(st.booleans()),
+        task=task,
+    )
+    seed = draw(st.integers(0, 2**16))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(seed)
+    models = [init_params(cfg, seed + k).astype(dtype) for k in range(num_models or 1)]
+    for model in models:
+        model.head_b[:] = rng.normal(0.0, 0.5, model.head_b.shape)
+    params = models[0] if num_models is None else ModelParams.stack(models)
+    lead = () if num_models is None else (num_models,)
+    alphabet = rng.integers(NUM_RESERVED, cfg.vocab_size, 3)
+    tokens = [rng.choice(alphabet, n)[:width] for n in docs * (num_models or 1)]
+    ids = padded(tokens, width).reshape(*lead, len(docs), width)
+    lens = np.array([len(t) for t in tokens], dtype=np.int32).reshape(*lead, len(docs))
+    labels = rng.integers(0, 3, lens.shape) if task == TASK_CLASSIFICATION else None
+    return params, ids, lens, labels
+
+
+class TestMaskedStepOracle:
+    """The step, the losses and the optimizer give the masked step's values exactly."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=step_cases())
+    def test_step_and_updates_equal_the_masked_step(self, case):
+        params, ids, lens, labels = case
+        loss, grads = batch_loss_and_grads(params, ids, lens, labels)
+        ref_loss, ref_grads = ref_loss_and_grads(params, ids, lens, labels)
+        assert np.asarray(loss).dtype == np.asarray(ref_loss).dtype
+        assert np.array_equal(loss, ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.dtype == ref_grads[name].dtype and np.array_equal(grad, ref_grads[name])
+        _, _, logp, targets, mask = ref_head_positions(params, ids, lens, labels)
+        ref_losses = ref_example_nll(logp, targets, mask)
+        assert np.array_equal(_per_example_losses(params, ids, lens, labels), ref_losses)
+        assert np.array_equal(_head_positions(params, ids, lens, labels)[2], logp)
+        for kind in OPTIMIZER_KINDS:
+            opt = OptimizerConfig(kind=kind, learning_rate=0.05, weight_decay=0.1)
+            new, ref = params.copy(), params.copy()
+            state = ref_state = None
+            for _ in range(2):  # the second step reuses the moments and scratch
+                new, state = optimizer_step(new, grads, state, opt)
+                ref, ref_state = ref_optimizer_step(ref, ref_grads, ref_state, opt)
+            for name, block in new.blocks().items():
+                assert np.array_equal(block, ref.blocks()[name]), (kind, name)
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_negative_zero_pooled_sum(self, kind):
+        # Both valid tokens of document 0 hold -0.0 in column 0; the masked
+        # step adds PAD's entry times 0 there, -1.0 * 0 = -0.0, and the padded
+        # table adds its zero row's +0.0.
+        cfg = ModelConfig(vocab_size=6, embed_dim=3, num_classes=2)
+        params = init_params(cfg, 0)
+        params.embedding[[2, 3], 0] = -0.0
+        params.embedding[PAD_ID, 0] = -1.0
+        ids = np.array([[2, 3, PAD_ID], [4, 5, 4]], dtype=np.int32)
+        lens = np.array([2, 3], dtype=np.int32)
+        labels = np.array([1, 0])
+        pooled = _head_positions(params, ids, lens, labels)[0][0, 0, 0]
+        ref_pooled = ref_head_positions(params, ids, lens, labels)[0][0, 0, 0]
+        # numpy's sum starts from +0.0, so both pool +0.0. A sum that started
+        # from its first term would give -0.0 in the masked step, and the sign
+        # still could not reach the parameters: the pooled value meets the
+        # head only in products, whose signed zeros are then added to a
+        # nonzero sum (x + -0.0 == x + 0.0) or to Adam's moments, which start
+        # at +0.0 (+0.0 + -0.0 == +0.0). The step moves every weight by the
+        # same amount, as these bit patterns confirm.
+        assert pooled == ref_pooled == 0.0 and not np.signbit(pooled)
+        opt = OptimizerConfig(kind=kind, learning_rate=0.05)
+        new, _ = optimizer_step(params.copy(), batch_loss_and_grads(params, ids, lens, labels)[1], None, opt)
+        ref, _ = ref_optimizer_step(params.copy(), ref_loss_and_grads(params, ids, lens, labels)[1], None, opt)
+        for name, block in new.blocks().items():
+            assert np.array_equal(block.view(np.uint32), ref.blocks()[name].view(np.uint32)), name
 
 
 class TestPaddingInvariance:
